@@ -21,7 +21,7 @@ func allocPoints(n, dims int, seed uint64) []float64 {
 }
 
 func TestNearestZeroAllocs(t *testing.T) {
-	for _, dims := range []int{2, 3, 4} {
+	for _, dims := range []int{2, 3, 4, 17} {
 		x := allocPoints(2000, dims, uint64(dims))
 		nn := NewNNFlat(x, dims, 0.05)
 		queries := allocPoints(64, dims, 99)
@@ -41,17 +41,15 @@ func TestGridNeighborsZeroAllocs(t *testing.T) {
 	for _, dims := range []int{2, 4} {
 		x := allocPoints(2000, dims, uint64(10+dims))
 		g := newGridIndexFlat(x, dims, 0.05)
-		queries := allocPoints(64, dims, 7)
 		// Warm the out buffer to the steady-state capacity first.
-		out := make([]int, 0, 64)
-		for qi := 0; qi < 64; qi++ {
-			out = g.neighbors(queries[qi*dims:(qi+1)*dims], out)
+		out := make([]int32, 0, 64)
+		for i := int32(0); i < 64; i++ {
+			out = g.neighbors(i, out)
 		}
-		qi := 0
+		qi := int32(0)
 		avg := testing.AllocsPerRun(200, func() {
-			q := queries[qi*dims : (qi+1)*dims]
+			out = g.neighbors(qi, out)
 			qi = (qi + 1) % 64
-			out = g.neighbors(q, out)
 		})
 		if avg != 0 {
 			t.Errorf("dims=%d: grid neighbors allocates %.1f objects per query, want 0", dims, avg)

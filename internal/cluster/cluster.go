@@ -156,108 +156,6 @@ func DBSCANFlat(x []float64, dims int, eps float64, minPts int) []int {
 	return labels
 }
 
-// interruptEvery is how many units of work pass between Interrupt polls;
-// frequent enough that cancellation lands within microseconds, rare
-// enough to stay invisible in profiles.
-const interruptEvery = 1024
-
-// dbscanFlat is DBSCAN over strided flat storage with an optional
-// interrupt hook polled every interruptEvery neighbourhood expansions, so
-// a cancelled job stops mid-cluster instead of finishing the whole frame.
-// The neighbour and queue buffers are reused across every expansion of
-// the run, so the steady state allocates nothing per query.
-func dbscanFlat(x []float64, dims int, eps float64, minPts int, interrupt func() error) ([]int, error) {
-	n := 0
-	if dims > 0 {
-		n = len(x) / dims
-	}
-	labels := make([]int, n)
-	if n == 0 {
-		return labels, nil
-	}
-	const (
-		unvisited = 0
-		noiseMark = -1
-	)
-	state := make([]int, n) // 0 unvisited, -1 noise, >0 cluster id
-	g := newGridIndexFlat(x, dims, eps)
-	next := 0
-	work := 0
-	poll := func() error {
-		if interrupt == nil {
-			return nil
-		}
-		work++
-		if work%interruptEvery != 0 {
-			return nil
-		}
-		return interrupt()
-	}
-	neigh := make([]int, 0, 64)
-	var queue []int
-	for i := 0; i < n; i++ {
-		if state[i] != unvisited {
-			continue
-		}
-		if err := poll(); err != nil {
-			return nil, err
-		}
-		neigh = g.neighbors(g.point(int32(i)), neigh)
-		if len(neigh) < minPts {
-			state[i] = noiseMark
-			continue
-		}
-		next++
-		state[i] = next
-		// Labelling happens at ENQUEUE time so each cluster member enters
-		// the queue at most once; a member queued here is dequeued exactly
-		// once for its own expansion check. Dequeue-time labelling (the
-		// textbook formulation) admits O(members·degree) duplicate queue
-		// entries on dense data — identical labels, far more queue traffic.
-		queue = queue[:0]
-		for _, j := range neigh {
-			if state[j] == noiseMark {
-				state[j] = next // border point adopted by the cluster
-				continue
-			}
-			if state[j] != unvisited {
-				continue
-			}
-			state[j] = next
-			queue = append(queue, j)
-		}
-		for qi := 0; qi < len(queue); qi++ {
-			if err := poll(); err != nil {
-				return nil, err
-			}
-			j := queue[qi]
-			neigh = g.neighbors(g.point(int32(j)), neigh)
-			if len(neigh) < minPts {
-				continue // border point: adopted, never expanded
-			}
-			for _, k := range neigh {
-				if state[k] == noiseMark {
-					state[k] = next
-					continue
-				}
-				if state[k] != unvisited {
-					continue
-				}
-				state[k] = next
-				queue = append(queue, k)
-			}
-		}
-	}
-	for i, s := range state {
-		if s == noiseMark {
-			labels[i] = Noise
-		} else {
-			labels[i] = s
-		}
-	}
-	return labels, nil
-}
-
 // EstimateEps implements the k-dist heuristic: it computes the distance to
 // the k-th nearest neighbour for a sample of points and returns a high
 // percentile of that distribution, which approximates the knee of the

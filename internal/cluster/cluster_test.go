@@ -134,12 +134,13 @@ func TestGridNeighborsMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewPCG(4, 1))
 	pts := blob(rng, 300, 0.5, 0.5, 0.2)
 	const eps = 0.07
-	g := newGridIndex(pts, eps)
+	x, dims := flatten(pts)
+	g := newGridIndexFlat(x, dims, eps)
 	for qi := 0; qi < 50; qi++ {
 		q := pts[qi*5]
 		got := map[int]bool{}
-		for _, i := range g.neighbors(q, nil) {
-			got[i] = true
+		for _, i := range g.neighbors(int32(qi*5), nil) {
+			got[int(i)] = true
 		}
 		for i, p := range pts {
 			inRange := sqDist(p, q) <= eps*eps

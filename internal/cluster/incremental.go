@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // This file holds the streaming counterpart of the batch DBSCAN path:
@@ -13,27 +12,14 @@ import (
 // needs no full clustering pass.
 //
 // The batch pipeline (RunFlat) min–max-normalises the window, runs
-// dbscanFlat and renumbers by weight. Its labels are a pure function of
-// the final geometry plus the scan order:
-//
-//   - A point is core iff its eps-neighbourhood (itself included) holds
-//     at least MinPts points — no order involved.
-//   - Two cores within eps always end in the same cluster, so the core
-//     partition is the connected components of the core–core eps graph —
-//     no order involved.
-//   - The outer scan discovers each component at its minimal core index,
-//     so raw cluster ids are the components ranked by minimal core index.
-//   - A border point is adopted during the expansion of the earliest
-//     discovered cluster holding a core within eps of it: the component,
-//     among those with a core in range, with the smallest minimal core
-//     index.
-//
-// Incremental therefore maintains exactly the order-free part (counts
-// and the core components, updated by localized re-expansion around
-// each insertion) and defers the order-dependent part to Seal, which is
-// handed the canonical point order and replays the rules above plus
-// relabelByWeight — bit-exact with RunFlat over the same points in that
-// order, as the differential suite in incremental_test.go proves.
+// dbscanFlat and renumbers by weight. Incremental maintains exactly the
+// order-free part of DBSCAN's labels (counts and the core components,
+// updated by localized re-expansion around each insertion; see
+// dbscan.go) and defers the order-dependent part to Seal, which is
+// handed the canonical point order and applies the same scanOrder as
+// the batch path plus relabelByWeight — bit-exact with RunFlat over the
+// same points in that order, as the differential suite in
+// incremental_test.go proves.
 //
 // Normalisation is the one global dependency: every coordinate is
 // scaled by the running per-dimension min/max, so an insertion that
@@ -75,17 +61,16 @@ type Incremental struct {
 	maxs    []float64
 	normed  []float64 // raw normalised by the current ranges, strided
 
-	// Cell directory: same floor(v/eps) geometry and exact 8-byte
-	// big-endian keys as the batch grid index, but with growable buckets
+	// Cell directory: floor(v/eps) cells under the exact 8-byte
+	// big-endian keys of the batch grid index, with growable buckets
 	// because points keep arriving. Lookups are alloc-free via the
 	// map[string] compiler optimisation; only a brand-new cell allocates
 	// its key.
 	cellSlot map[string]int32
 	buckets  [][]int32
 
-	counts []int32 // eps-neighbour count per point, self included
-	parent []int32 // union-find over points; only core links are made
-	usize  []int32
+	counts []int32   // eps-neighbour count per point, self included
+	uf     unionFind // over points; only core links are made
 	cores  int
 
 	rebuilds int
@@ -145,7 +130,7 @@ func (s *Incremental) Stats() IncrementalStats {
 		if int(s.counts[i]) < s.minPts {
 			continue
 		}
-		r := s.find(int32(i))
+		r := s.uf.find(int32(i))
 		if !seen[r] {
 			seen[r] = true
 			st.Components++
@@ -167,8 +152,7 @@ func (s *Incremental) Add(p []float64, w float64) {
 	s.raw = append(s.raw, p...)
 	s.weights = append(s.weights, w)
 	s.counts = append(s.counts, 0)
-	s.parent = append(s.parent, int32(i))
-	s.usize = append(s.usize, 1)
+	s.uf.add()
 	extend := false
 	for d, v := range p {
 		if v < s.mins[d] {
@@ -218,10 +202,9 @@ func (s *Incremental) rebuild() {
 	s.cellSlot = make(map[string]int32, len(s.buckets)+1)
 	s.buckets = s.buckets[:0]
 	s.cores = 0
+	s.uf = newUnionFind(s.n)
 	for i := 0; i < s.n; i++ {
 		s.counts[i] = 0
-		s.parent[i] = int32(i)
-		s.usize[i] = 1
 		s.normalizeInto(i)
 	}
 	for i := 0; i < s.n; i++ {
@@ -264,7 +247,7 @@ func (s *Incremental) insert(i int) {
 		s.cores++
 		for _, j := range neigh {
 			if int(j) != i && int(s.counts[j]) >= s.minPts {
-				s.union(int32(i), j)
+				s.uf.union(int32(i), j)
 			}
 		}
 	}
@@ -282,29 +265,9 @@ func (s *Incremental) reexpand(j int) {
 	s.expBuf = nb
 	for _, k := range nb {
 		if int(k) != j && int(s.counts[k]) >= s.minPts {
-			s.union(int32(j), k)
+			s.uf.union(int32(j), k)
 		}
 	}
-}
-
-func (s *Incremental) find(i int32) int32 {
-	for s.parent[i] != i {
-		s.parent[i] = s.parent[s.parent[i]]
-		i = s.parent[i]
-	}
-	return i
-}
-
-func (s *Incremental) union(a, b int32) {
-	ra, rb := s.find(a), s.find(b)
-	if ra == rb {
-		return
-	}
-	if s.usize[ra] < s.usize[rb] {
-		ra, rb = rb, ra
-	}
-	s.parent[rb] = ra
-	s.usize[ra] += s.usize[rb]
 }
 
 // addToCell files point i under its cell key.
@@ -324,7 +287,7 @@ func (s *Incremental) addToCell(q []float64, i int32) {
 
 // neighborsOf appends to out every inserted point within eps of q (q's
 // own index included when already filed), scanning the 3^dims cell
-// neighbourhood with the batch index's inclusive dist² <= eps²
+// neighbourhood with the batch grid's inclusive dist² <= eps²
 // criterion.
 func (s *Incremental) neighborsOf(q []float64, out []int32) []int32 {
 	eps2 := s.eps * s.eps
@@ -394,65 +357,21 @@ func (s *Incremental) Seal(canon []int) (*Result, error) {
 		pos[i] = k
 	}
 
-	// Minimal canonical core position per component root: the batch scan
-	// discovers each cluster exactly there.
-	const unset = -1
-	minCore := make([]int, n)
-	for i := range minCore {
-		minCore[i] = unset
+	core := make([]bool, n)
+	for i := range core {
+		core[i] = int(s.counts[i]) >= s.minPts
 	}
-	for i := 0; i < n; i++ {
-		if int(s.counts[i]) < s.minPts {
-			continue
-		}
-		r := s.find(int32(i))
-		if minCore[r] == unset || pos[i] < minCore[r] {
-			minCore[r] = pos[i]
-		}
-	}
-	var roots []int32
-	for i := 0; i < n; i++ {
-		r := int32(i)
-		if s.parent[r] == r && minCore[r] != unset {
-			roots = append(roots, r)
-		}
-	}
-	sort.Slice(roots, func(a, b int) bool { return minCore[roots[a]] < minCore[roots[b]] })
-	rawOf := make([]int, n)
-	for rank, r := range roots {
-		rawOf[r] = rank + 1
-	}
-
+	order := newScanOrder(&s.uf, core, pos)
 	labels := make([]int, n)
 	var nbuf []int32
-	for k := 0; k < n; k++ {
-		i := canon[k]
-		if int(s.counts[i]) >= s.minPts {
-			labels[k] = rawOf[s.find(int32(i))]
+	for k, i := range canon {
+		if core[i] {
+			labels[k] = order.coreLabel(i)
 			continue
 		}
-		// Border or noise: adopted by the earliest-discovered component
-		// holding a core within eps, exactly as the batch expansion
-		// reaches it first.
 		q := s.normed[i*s.dims : (i+1)*s.dims]
 		nbuf = s.neighborsOf(q, nbuf[:0])
-		best := unset
-		var bestRoot int32
-		for _, j := range nbuf {
-			if int(s.counts[j]) < s.minPts {
-				continue
-			}
-			r := s.find(j)
-			if m := minCore[r]; best == unset || m < best {
-				best = m
-				bestRoot = r
-			}
-		}
-		if best == unset {
-			labels[k] = Noise
-		} else {
-			labels[k] = rawOf[bestRoot]
-		}
+		labels[k] = order.adopt(nbuf)
 	}
 
 	res := &Result{Labels: labels, Eps: s.eps, MinPts: s.minPts}

@@ -14,6 +14,9 @@ import (
 // scans. The packed int64 key (and the exact 8-byte wide fallback) makes
 // bucketing exact; these tests pin that on inputs that collided pre-fix.
 
+// cellMembers returns the members of the cell holding point i.
+func cellMembers(g *gridIndex, i int32) []int32 { return g.members(g.cellOf[i]) }
+
 // TestCellKeyNoTruncationCollision uses two 1-D points whose cell
 // coordinates are exactly 0 and 2^32: identical under 32-bit truncation,
 // distinct under the exact key.
@@ -22,14 +25,14 @@ func TestCellKeyNoTruncationCollision(t *testing.T) {
 	a := 0.5
 	b := math.Ldexp(1, 32) + 0.5 // cell coordinate 2^32
 	g := newGridIndexFlat([]float64{a, b}, 1, eps)
-	if got := g.bucket([]int64{0}, nil); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("cell 0 bucket = %v, want exactly [0]; coordinates differing by 2^32 share a bucket", got)
+	if got := cellMembers(g, 0); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("cell of point 0 = %v, want exactly [0]; coordinates differing by 2^32 share a bucket", got)
 	}
-	if got := g.bucket([]int64{int64(1) << 32}, nil); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("cell 2^32 bucket = %v, want exactly [1]", got)
+	if got := cellMembers(g, 1); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("cell of point 1 = %v, want exactly [1]", got)
 	}
 	// The far point must not appear as a neighbour of the near one.
-	if got := g.neighbors([]float64{a}, nil); len(got) != 1 || got[0] != 0 {
+	if got := g.neighbors(0, nil); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("neighbors(%v) = %v, want [0]", a, got)
 	}
 }
@@ -44,21 +47,21 @@ func TestCellKeyWideFallbackExact(t *testing.T) {
 		0.5, 0.5,
 		far + 0.5, far + 0.5,
 	}
-	g := newGridIndexFlat(x, 2, eps)
-	if g.stride != nil {
+	side := eps / math.Sqrt(2)
+	lo := []int64{cellCoord(0.5, side), cellCoord(0.5, side)}
+	hi := []int64{cellCoord(far+0.5, side), cellCoord(far+0.5, side)}
+	if _, _, ok := packedStrides(lo, hi); ok {
 		t.Fatalf("expected wide fallback for spans of 2^33 in both dimensions")
 	}
-	var sc queryScratch
-	wbuf := g.wideBuf(&sc)
-	if got := g.bucket([]int64{0, 0}, wbuf); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("cell (0,0) bucket = %v, want exactly [0]", got)
+	g := newGridIndexFlat(x, 2, eps)
+	if got := cellMembers(g, 0); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("cell of point 0 = %v, want exactly [0]", got)
 	}
-	if got := g.neighbors([]float64{0.5, 0.5}, nil); len(got) != 1 || got[0] != 0 {
+	if got := g.neighbors(0, nil); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("neighbors near origin = %v, want [0]", got)
 	}
-	// NN across the gap still finds the exact nearest point: the spread
-	// exceeds the ring-sweep cap, routing the query to the linear scan.
-	nn := &NN{grid: g}
+	// NN across the gap still finds the exact nearest point.
+	nn := NewNNFlat(x, 2, 0)
 	idx, dist := nn.Nearest([]float64{far, far})
 	if idx != 1 {
 		t.Fatalf("Nearest far query = index %d, want 1", idx)

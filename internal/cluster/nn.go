@@ -2,46 +2,234 @@ package cluster
 
 import "math"
 
-// NN is a grid-accelerated exact nearest-neighbour index over a point set.
-// The tracking displacement evaluator cross-classifies every burst of one
-// frame to its nearest clustered burst of the next, which would be O(n²)
-// with linear scans; the ring-expanding grid search keeps it near O(n) for
-// the dense, normalised frames we operate on. Points live in one strided
-// []float64 and cells carry packed integer keys, so a query touches no
-// allocator and no string hashing — Nearest is allocation-free for up to
-// maxStackDims dimensions (asserted by testing.AllocsPerRun in
-// alloc_test.go).
+// NN is an exact nearest-neighbour index over a point set: a k-d tree with
+// median splits and a tight bounding box per node. The tracking
+// displacement evaluator cross-classifies every burst of one frame to its
+// nearest clustered burst of the next, which would be O(n²) with linear
+// scans. Cross-frame queries often land far from any indexed point; the
+// tree's cost tracks its depth, not that distance. Points are copied into
+// tree order in one strided
+// []float64, so a leaf scan walks contiguous memory, and a query keeps its
+// traversal stack in a fixed array — Nearest is allocation-free at every
+// dimensionality (asserted by testing.AllocsPerRun in alloc_test.go).
 type NN struct {
-	grid *gridIndex
+	dims  int
+	x     []float64 // points in tree order, strided
+	id    []int32   // input index of tree-order point k
+	nodes []kdNode
+	// Tight box per node (NaN coordinates skipped): node k spans
+	// box[2k·dims:(2k+1)·dims] (lo) and the next dims values (hi).
+	box []float64
 }
 
-// NewNN builds an index over points (expected to be normalised to roughly
-// the unit hypercube). cell is the grid cell side; values around the
-// typical nearest-neighbour distance work well. Non-positive cells default
-// to 0.05.
+// kdNode covers the tree-order points [first, end). Leaves have left < 0;
+// an inner node's left child holds coordinates split <= cut, its right
+// child coordinates >= cut.
+type kdNode struct {
+	first, end  int32
+	left, right int32
+	minID       int32 // smallest input index in the subtree
+	split       int32
+	cut         float64
+}
+
+// kdLeaf is the largest node the build leaves unsplit.
+const kdLeaf = 16
+
+// kdMaxDepth bounds the traversal stack: median splits keep the tree
+// balanced, so its depth is at most log2(n) < 32 for any int32-indexed set.
+const kdMaxDepth = 64
+
+// NewNN builds an index over points. cell is ignored; see NewNNFlat.
 func NewNN(points [][]float64, cell float64) *NN {
 	x, dims := flatten(points)
 	return NewNNFlat(x, dims, cell)
 }
 
-// NewNNFlat builds the index directly over strided flat storage: point i
-// occupies x[i*dims:(i+1)*dims]. The index aliases x; do not mutate it
-// while querying.
-func NewNNFlat(x []float64, dims int, cell float64) *NN {
-	if cell <= 0 {
-		cell = 0.05
+// flatten copies a boxed point set into strided storage.
+func flatten(points [][]float64) ([]float64, int) {
+	if len(points) == 0 {
+		return nil, 0
 	}
-	return &NN{grid: newGridIndexFlat(x, dims, cell)}
+	dims := len(points[0])
+	x := make([]float64, 0, len(points)*dims)
+	for _, p := range points {
+		x = append(x, p...)
+	}
+	return x, dims
+}
+
+// NewNNFlat builds the index over strided flat storage: point i occupies
+// x[i*dims:(i+1)*dims]. The index copies what it needs, so x may be reused
+// afterwards. cell is ignored: the tree partitions the data by itself, so
+// there is no cell size to tune. The parameter stays for callers that
+// still pass one.
+func NewNNFlat(x []float64, dims int, cell float64) *NN {
+	nn := &NN{dims: dims}
+	n := 0
+	if dims > 0 {
+		n = len(x) / dims
+	}
+	if n == 0 {
+		return nn
+	}
+	nn.id = make([]int32, n)
+	for i := range nn.id {
+		nn.id[i] = int32(i)
+	}
+	// Splits stop at kdLeaf points, so every leaf holds at least
+	// kdLeaf/2 and the tree has fewer than 4n/kdLeaf nodes.
+	nodes := 4*n/kdLeaf + 1
+	nn.nodes = make([]kdNode, 0, nodes)
+	nn.box = make([]float64, 0, 2*nodes*dims)
+	nn.x = append([]float64(nil), x[:n*dims]...)
+	b := kdBuilder{nn: nn, bounds: make([]float64, 2*dims*(kdMaxDepth+1))}
+	root := b.bounds[:2*dims]
+	for d := 0; d < dims; d++ {
+		root[d], root[dims+d] = math.Inf(1), math.Inf(-1)
+	}
+	for i := 0; i < n; i++ {
+		growBox(root[:dims], root[dims:], x[i*dims:(i+1)*dims])
+	}
+	b.build(0, int32(n), 0)
+	return nn
 }
 
 // Len returns the number of indexed points.
-func (nn *NN) Len() int { return nn.grid.n }
+func (nn *NN) Len() int { return len(nn.id) }
 
-// maxRingSweep caps how many Chebyshev rings the grid search will walk.
-// Queries whose bounding ring exceeds it (far outside the indexed range,
-// or a degenerate cell size) fall back to a linear scan, which is cheaper
-// than enumerating huge empty rings and trivially implements the spec.
-const maxRingSweep = 64
+// growBox widens the box [lo, hi] to cover p, skipping NaN coordinates.
+func growBox(lo, hi, p []float64) {
+	for d, v := range p {
+		if v < lo[d] {
+			lo[d] = v
+		}
+		if v > hi[d] {
+			hi[d] = v
+		}
+	}
+}
+
+// kdBuilder holds the scratch of one tree build.
+type kdBuilder struct {
+	nn *NN
+	// bounds holds, per depth t, the region a node at that depth covers
+	// (lo at bounds[2t·dims:], hi dims later). Regions only steer the
+	// choice of split dimension; pruning uses the tight boxes.
+	bounds []float64
+}
+
+// build creates the node covering id[first:end] at the given depth and its
+// subtree, returning the node's index. The ids are permuted in place into
+// tree order; an inner node's tight box is the union of its children's.
+func (b *kdBuilder) build(first, end int32, depth int) int32 {
+	nn, dims := b.nn, b.nn.dims
+	k := int32(len(nn.nodes))
+	nn.nodes = append(nn.nodes, kdNode{first: first, end: end, left: -1, right: -1, minID: nn.id[first]})
+	nn.box = append(nn.box, make([]float64, 2*dims)...)
+	lo, hi := nn.boxOf(k)
+	for d := 0; d < dims; d++ {
+		lo[d], hi[d] = math.Inf(1), math.Inf(-1)
+	}
+	if end-first <= kdLeaf {
+		for t := first; t < end; t++ {
+			nn.nodes[k].minID = min(nn.nodes[k].minID, nn.id[t])
+			growBox(lo, hi, nn.x[int(t)*dims:(int(t)+1)*dims])
+		}
+		return k
+	}
+	region := b.bounds[2*depth*dims : 2*(depth+1)*dims]
+	split, widest := 0, math.Inf(-1)
+	for d := 0; d < dims; d++ {
+		if w := region[dims+d] - region[d]; w > widest {
+			split, widest = d, w
+		}
+	}
+	mid := first + (end-first)/2
+	b.selectNth(split, first, end, mid)
+	cut := nn.x[int(mid)*dims+split]
+	child := b.bounds[2*(depth+1)*dims : 2*(depth+2)*dims]
+	copy(child, region)
+	child[dims+split] = cut
+	left := b.build(first, mid, depth+1)
+	copy(child, region)
+	child[split] = cut
+	right := b.build(mid, end, depth+1)
+	nd := &nn.nodes[k]
+	nd.left, nd.right, nd.split, nd.cut = left, right, int32(split), cut
+	nd.minID = min(nn.nodes[left].minID, nn.nodes[right].minID)
+	for _, c := range [2]int32{left, right} {
+		clo, chi := nn.boxOf(c)
+		growBox(lo, hi, clo)
+		growBox(lo, hi, chi)
+	}
+	return k
+}
+
+// boxOf returns the tight box of node k.
+func (nn *NN) boxOf(k int32) (lo, hi []float64) {
+	b := nn.box[2*int(k)*nn.dims : 2*(int(k)+1)*nn.dims]
+	return b[:nn.dims], b[nn.dims:]
+}
+
+// selectNth permutes the points [first, end) in tree order so that point
+// nth holds the (nth-first)-th smallest coordinate split, nothing after it
+// smaller and nothing before it larger: median-of-three quickselect. NaN
+// keys land anywhere; they only cost balance.
+func (b *kdBuilder) selectNth(split int, first, end, nth int32) {
+	nn, dims := b.nn, b.nn.dims
+	x, ids := nn.x[int(first)*dims:int(end)*dims], nn.id[first:end]
+	key := func(t int) float64 { return x[t*dims+split] }
+	swap := func(i, j int) {
+		for d := 0; d < dims; d++ {
+			x[i*dims+d], x[j*dims+d] = x[j*dims+d], x[i*dims+d]
+		}
+		ids[i], ids[j] = ids[j], ids[i]
+	}
+	k := int(nth - first)
+	lo, hi := 0, len(ids)-1
+	for lo < hi {
+		m := lo + (hi-lo)/2
+		if key(m) < key(lo) {
+			swap(m, lo)
+		}
+		if key(hi) < key(lo) {
+			swap(hi, lo)
+		}
+		if key(hi) < key(m) {
+			swap(hi, m)
+		}
+		pivot := key(m)
+		i, j := lo, hi
+		for i <= j {
+			for key(i) < pivot {
+				i++
+			}
+			for pivot < key(j) {
+				j--
+			}
+			if i <= j {
+				swap(i, j)
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+}
+
+// boxSq returns the computed squared distance from q to node k's box.
+func (nn *NN) boxSq(k int32, q []float64) float64 {
+	lo, hi := nn.boxOf(k)
+	return gapSq(lo, hi, q)
+}
 
 // Nearest returns the index of the point closest to q and its Euclidean
 // distance. It returns (-1, +Inf) for an empty index.
@@ -54,158 +242,83 @@ const maxRingSweep = 64
 //	Euclidean distance to q, computed as Σ(p[d]-q[d])² in dimension
 //	order. Among points at exactly equal squared distance, the one with
 //	the LOWEST index in the input slice wins — globally, regardless of
-//	which grid cell or ring the candidates occupy. This is precisely
+//	which node of the tree the candidates occupy. This is precisely
 //	the result of a left-to-right linear scan keeping the first
 //	strictly-better candidate.
 //
-// Three details of the ring search make it honour the spec:
+// Three details of the tree search make it honour the spec:
 //
-//   - a candidate in a later ring displaces the incumbent only when
-//     strictly closer OR equal-and-lower-index (see visitRing);
-//   - the sweep stops before ring r only when bestSq is strictly below
-//     ((r-1)·cell)², the minimum possible squared distance of any point
-//     in an unexplored ring. In exact arithmetic equality at the bound is
-//     unreachable (a point that close would sit in a nearer ring), but
-//     after floating-point rounding of coordinates it is not; strictness
-//     costs at most one extra ring and removes the edge;
-//   - the sweep runs to the ring covering the whole populated bounding
-//     box instead of a magic cutoff radius. The historical
-//     "r·cell > 4 and we have *a* candidate" break returned a non-nearest
-//     point for sparse data spread beyond the unit range (see
-//     TestOracleNNSparseOutlierRegression).
+//   - a candidate displaces the incumbent only when strictly closer OR
+//     equal-and-lower-index, so visiting order cannot matter;
+//   - a subtree is pruned only when its box distance is strictly greater
+//     than the best, or equal to it with every index in the subtree
+//     above the best's: an equal-distance point with a lower index is
+//     never skipped;
+//   - the box distance is computed with the point distance's own
+//     operations (see gapSq), so it never exceeds the computed distance
+//     of a point inside, even after rounding.
 func (nn *NN) Nearest(q []float64) (int, float64) {
-	g := nn.grid
-	if g.n == 0 {
+	if len(nn.id) == 0 {
 		return -1, math.Inf(1)
 	}
-	var sc queryScratch
-	base := scratchInts(&sc.base, g.dims)
-	for d := 0; d < g.dims; d++ {
-		base[d] = cellCoord(q[d], g.eps)
+	type entry struct {
+		node  int32
+		bound float64
 	}
-	// rMax is the Chebyshev cell distance from q's cell to the farthest
-	// populated cell: the ring beyond which the index holds nothing.
-	var rMax int64
-	for d := 0; d < g.dims; d++ {
-		if dd := chebGap(base[d], g.cellMin[d]); dd > rMax {
-			rMax = dd
-		}
-		if dd := chebGap(g.cellMax[d], base[d]); dd > rMax {
-			rMax = dd
-		}
-	}
-	best := -1
-	bestSq := math.Inf(1)
-	if rMax > maxRingSweep {
-		for i := 0; i < g.n; i++ {
-			if d := g.sqDistTo(int32(i), q); d < bestSq {
-				best, bestSq = i, d
-			}
-		}
-		return best, math.Sqrt(bestSq)
-	}
-	for r := int64(0); r <= rMax; r++ {
-		if best >= 0 {
-			minPossible := float64(r-1) * g.eps // points in ring r are at least this far
-			if minPossible > 0 && bestSq < minPossible*minPossible {
+	var stack [kdMaxDepth]entry
+	stack[0] = entry{0, nn.boxSq(0, q)}
+	sp := 1
+	best, bestSq := int32(-1), math.Inf(1)
+	dims := nn.dims
+	for sp > 0 {
+		sp--
+		k, bound := stack[sp].node, stack[sp].bound
+		for {
+			nd := &nn.nodes[k]
+			if bound > bestSq || (bound == bestSq && nd.minID > best) {
 				break
 			}
-		}
-		best, bestSq = nn.visitRing(&sc, base, r, q, best, bestSq)
-	}
-	return best, math.Sqrt(bestSq)
-}
-
-// chebGap returns max(a-b, 0) saturating instead of overflowing (cell
-// coordinates are clamped to ±2^62, so the raw difference can exceed the
-// int64 range).
-func chebGap(a, b int64) int64 {
-	if a <= b {
-		return 0
-	}
-	d := uint64(a) - uint64(b)
-	if d > math.MaxInt64 {
-		return math.MaxInt64
-	}
-	return int64(d)
-}
-
-// visitRing scans all populated cells at Chebyshev distance exactly r from
-// base, returning the updated best candidate. The per-dimension offset
-// range is clamped to the populated bounding box, so empty space costs
-// nothing.
-func (nn *NN) visitRing(sc *queryScratch, base []int64, r int64, q []float64, best int, bestSq float64) (int, float64) {
-	g := nn.grid
-	dims := g.dims
-	cell := scratchInts(&sc.cell, dims)
-	off := scratchInts(&sc.off, dims)
-	lo := scratchInts(&sc.lo, dims)
-	hi := scratchInts(&sc.hi, dims)
-	wbuf := g.wideBuf(sc)
-	// Per-dimension clamped offset bounds: intersect [-r, r] with the
-	// populated box, so empty rings outside it cost nothing.
-	for d := 0; d < dims; d++ {
-		lo[d], hi[d] = -r, r
-		if m := g.cellMin[d] - base[d]; m > lo[d] {
-			lo[d] = m
-		}
-		if m := g.cellMax[d] - base[d]; m < hi[d] {
-			hi[d] = m
-		}
-		if lo[d] > hi[d] {
-			return best, bestSq // ring entirely outside the populated box
-		}
-		off[d] = lo[d]
-	}
-	for {
-		cheb := int64(0)
-		for _, o := range off {
-			if o < 0 {
-				o = -o
+			if nd.left >= 0 {
+				// Descend towards q; the parent's bound still bounds
+				// the near child, and the far child waits on the stack
+				// with its own.
+				near, far := nd.left, nd.right
+				if q[nd.split] >= nd.cut {
+					near, far = far, near
+				}
+				if fb := nn.boxSq(far, q); !(fb > bestSq) {
+					stack[sp] = entry{far, fb}
+					sp++
+				}
+				k = near
+				continue
 			}
-			if o > cheb {
-				cheb = o
-			}
-		}
-		if cheb == r {
-			for d := 0; d < dims; d++ {
-				cell[d] = base[d] + off[d]
-			}
-			bucket := g.bucket(cell, wbuf)
-			if dims == 2 && len(bucket) > 0 {
-				// Unrolled 2-D candidate scan: same left-associated
-				// accumulation as sqDistTo, no per-candidate call.
+			if dims == 2 {
+				// Unrolled 2-D leaf scan: same left-associated
+				// accumulation as the generic loop.
 				q0, q1 := q[0], q[1]
-				for _, pi := range bucket {
-					b := int(pi) * 2
-					d0 := g.x[b] - q0
-					d1 := g.x[b+1] - q1
+				for t := nd.first; t < nd.end; t++ {
+					d0 := nn.x[2*int(t)] - q0
+					d1 := nn.x[2*int(t)+1] - q1
 					d := d0*d0 + d1*d1
-					if d < bestSq || (d == bestSq && int(pi) < best) {
-						best, bestSq = int(pi), d
+					if id := nn.id[t]; d < bestSq || (d == bestSq && id < best) {
+						best, bestSq = id, d
 					}
 				}
-			} else {
-				for _, pi := range bucket {
-					d := g.sqDistTo(pi, q)
-					if d < bestSq || (d == bestSq && int(pi) < best) {
-						best, bestSq = int(pi), d
-					}
-				}
-			}
-		}
-		// Odometer advance over the clamped box.
-		d := 0
-		for ; d < dims; d++ {
-			off[d]++
-			if off[d] <= hi[d] {
 				break
 			}
-			off[d] = lo[d]
-		}
-		if d == dims {
+			for t := nd.first; t < nd.end; t++ {
+				var d float64
+				for j, v := range nn.x[int(t)*dims : (int(t)+1)*dims] {
+					dd := v - q[j]
+					d += dd * dd
+				}
+				if id := nn.id[t]; d < bestSq || (d == bestSq && id < best) {
+					best, bestSq = id, d
+				}
+			}
 			break
 		}
 	}
-	return best, bestSq
+	return int(best), math.Sqrt(bestSq)
 }

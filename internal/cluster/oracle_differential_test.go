@@ -34,30 +34,26 @@ func TestOracleNNDifferential(t *testing.T) {
 	for seed := uint64(0); seed < 60; seed++ {
 		sc := oracle.GenScenario(seed)
 		dims := len(sc.Points[0])
-		// Two cell sizes: the scenario's lattice-aligned eps (maximises
-		// boundary coincidences) and the production nnCell value.
-		for _, cell := range []float64{sc.Eps, 0.05} {
-			nn := NewNN(sc.Points, cell)
-			check := func(q []float64, what string) {
-				gi, gd := nn.Nearest(q)
-				wi, wd := oracle.Nearest(sc.Points, q)
-				if gi != wi || gd != wd {
-					t.Fatalf("seed %d cell %v %s: Nearest(%v) = (%d, %v), oracle says (%d, %v)",
-						seed, cell, what, q, gi, gd, wi, wd)
-				}
+		nn := NewNN(sc.Points, 0)
+		check := func(q []float64, what string) {
+			gi, gd := nn.Nearest(q)
+			wi, wd := oracle.Nearest(sc.Points, q)
+			if gi != wi || gd != wd {
+				t.Fatalf("seed %d %s: Nearest(%v) = (%d, %v), oracle says (%d, %v)",
+					seed, what, q, gi, gd, wi, wd)
 			}
-			// Random queries (some outside the unit square, exercising
-			// the out-of-bbox linear fallback)...
-			for qi := 0; qi < 20; qi++ {
-				check(oracle.GenQuery(seed, qi, dims), "query")
-			}
-			// ...and every indexed point as its own query: duplicates
-			// make zero-distance ties, where only the index ordering
-			// disambiguates.
-			for i := range sc.Points {
-				if i%3 == 0 {
-					check(sc.Points[i], "self")
-				}
+		}
+		// Random queries (some outside the unit square, beyond every
+		// node box)...
+		for qi := 0; qi < 20; qi++ {
+			check(oracle.GenQuery(seed, qi, dims), "query")
+		}
+		// ...and every indexed point as its own query: duplicates
+		// make zero-distance ties, where only the index ordering
+		// disambiguates.
+		for i := range sc.Points {
+			if i%3 == 0 {
+				check(sc.Points[i], "self")
 			}
 		}
 	}
@@ -65,7 +61,7 @@ func TestOracleNNDifferential(t *testing.T) {
 
 func TestOracleNNFarQueryFallback(t *testing.T) {
 	sc := oracle.GenScenario(3)
-	nn := NewNN(sc.Points, 0.01) // tiny cells force a large ring bound
+	nn := NewNN(sc.Points, 0.01)
 	q := make([]float64, len(sc.Points[0]))
 	for d := range q {
 		q[d] = 50 // far outside the indexed bounding box

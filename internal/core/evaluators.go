@@ -3,7 +3,6 @@ package core
 import (
 	"runtime"
 	"sort"
-	"sync"
 
 	"perftrack/internal/align"
 	"perftrack/internal/cluster"
@@ -40,46 +39,36 @@ func Displacement(a, b *Frame, cfg Config) *Matrix {
 	if len(lbl) == 0 || a.NumClusters == 0 {
 		return m
 	}
-	nn := cluster.NewNNFlat(x, dims, nnCell)
+	nn := cluster.NewNNFlat(x, dims, 0)
 	// Nearest-neighbour classification of every burst is the hottest loop
 	// of the pipeline; the queries are independent, so shard them across
-	// the CPUs. Per-worker tallies keep the result bit-identical to the
-	// sequential loop.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(a.Labels) {
-		workers = 1
+	// the CPUs. Integer tallies sum exactly in any order, so per-shard
+	// tallies keep the result bit-identical to the sequential loop.
+	shards := max(1, min(runtime.GOMAXPROCS(0), len(a.Labels)))
+	chunk := (len(a.Labels) + shards - 1) / shards
+	tallies := make([][][]float64, shards)
+	if err := runBounded(shards, func(w int) {
+		tally := make([][]float64, a.NumClusters+1)
+		for i := range tally {
+			tally[i] = make([]float64, b.NumClusters+1)
+		}
+		for i := w * chunk; i < min((w+1)*chunk, len(a.Labels)); i++ {
+			la := a.Labels[i]
+			if la <= 0 {
+				continue
+			}
+			j, _ := nn.Nearest(a.Norm[i])
+			if j < 0 {
+				continue
+			}
+			tally[la][lbl[j]]++
+		}
+		tallies[w] = tally
+	}); err != nil {
+		// Displacement has no error path: re-raise on the caller's
+		// goroutine, where the enclosing worker pool reports it.
+		panic(err)
 	}
-	tallies := make([][][]float64, workers)
-	var wg sync.WaitGroup
-	chunk := (len(a.Labels) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tally := make([][]float64, a.NumClusters+1)
-			for i := range tally {
-				tally[i] = make([]float64, b.NumClusters+1)
-			}
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > len(a.Labels) {
-				hi = len(a.Labels)
-			}
-			for i := lo; i < hi; i++ {
-				la := a.Labels[i]
-				if la <= 0 {
-					continue
-				}
-				j, _ := nn.Nearest(a.Norm[i])
-				if j < 0 {
-					continue
-				}
-				tally[la][lbl[j]]++
-			}
-			tallies[w] = tally
-		}()
-	}
-	wg.Wait()
 	counts := make([]float64, a.NumClusters+1)
 	for _, tally := range tallies {
 		for la := 1; la <= a.NumClusters; la++ {
@@ -100,10 +89,6 @@ func Displacement(a, b *Frame, cfg Config) *Matrix {
 	m.Threshold(cfg.MinCorrelation)
 	return m
 }
-
-// nnCell is the grid cell size for nearest-neighbour classification in the
-// normalised unit square.
-const nnCell = 0.05
 
 // taskSequences extracts the chronological cluster-id sequence of every
 // task of the frame (noise bursts skipped), sampling at most sample tasks

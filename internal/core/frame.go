@@ -22,8 +22,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"perftrack/internal/cluster"
 	"perftrack/internal/metrics"
@@ -282,44 +280,30 @@ func BuildFramesContext(ctx context.Context, traces []*trace.Trace, cfg Config) 
 		cfg.Cluster.Interrupt = func() error { return ctx.Err() }
 	}
 	// Frames are independent until the cross-series normalisation, so
-	// they are clustered concurrently — across a GOMAXPROCS-bounded
-	// worker pool, not a goroutine per frame: wide studies (hundreds of
-	// time windows) would otherwise run every frame's clustering at once
-	// and thrash both scheduler and caches. Results are deterministic:
-	// each frame's outcome depends only on its own trace.
+	// they are clustered concurrently on the bounded worker pool: wide
+	// studies (hundreds of time windows) would otherwise run every
+	// frame's clustering at once and thrash both scheduler and caches.
+	// Results are deterministic: each frame's outcome depends only on its
+	// own trace.
 	frames := make([]*Frame, len(traces))
 	errs := make([]error, len(traces))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(traces) {
-		workers = len(traces)
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				f, err := buildFrame(ctx, i, traces[i], cfg)
-				if err != nil {
-					errs[i] = fmt.Errorf("core: frame %d (%s): %w", i, traces[i].Meta.Label, err)
-					continue
-				}
-				frames[i] = f
-			}
-		}()
-	}
-	for i := range traces {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	poolErr := runBounded(len(traces), func(i int) {
+		if err := ctx.Err(); err != nil {
+			errs[i] = err
+			return
+		}
+		f, err := buildFrame(ctx, i, traces[i], cfg)
+		if err != nil {
+			errs[i] = fmt.Errorf("core: frame %d (%s): %w", i, traces[i].Meta.Label, err)
+			return
+		}
+		frames[i] = f
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if poolErr != nil {
+		return nil, poolErr
 	}
 	for _, err := range errs {
 		if err != nil {

@@ -193,7 +193,7 @@ func (s *SeqTracker) Evaluate(ctx context.Context) (*Result, error) {
 	if len(active) == 0 {
 		return nil, fmt.Errorf("core: every frame is degraded")
 	}
-	runBounded(len(todo), func(k int) {
+	if err := runBounded(len(todo), func(k int) {
 		i := todo[k]
 		f := s.frames[i]
 		if ctx.Err() != nil {
@@ -209,7 +209,9 @@ func (s *SeqTracker) Evaluate(ctx context.Context) (*Result, error) {
 		} else {
 			s.spmdM[i] = NewMatrix("spmd", i, i, f.NumClusters, f.NumClusters)
 		}
-	})
+	}); err != nil {
+		return nil, err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -231,12 +233,14 @@ func (s *SeqTracker) Evaluate(ctx context.Context) (*Result, error) {
 			missing = append(missing, pairKey{k, i, j})
 		}
 	}
-	runBounded(len(missing), func(m int) {
+	if err := runBounded(len(missing), func(m int) {
 		p := missing[m]
 		res.Pairs[p.k] = s.tk.trackPair(ctx, s.frames[p.i], s.frames[p.j],
 			s.spmdM[p.i], s.spmdM[p.j], s.spmdPairs[p.i], s.spmdPairs[p.j],
 			s.consensus[p.i], s.consensus[p.j])
-	})
+	}); err != nil {
+		return nil, err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

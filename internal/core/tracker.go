@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -144,7 +145,7 @@ func (tk *Tracker) TrackContext(ctx context.Context, frames []*Frame) (*Result, 
 			spmdM[i] = NewMatrix("spmd", i, i, f.NumClusters, f.NumClusters)
 		}
 	}
-	runBounded(len(frames), func(i int) {
+	if err := runBounded(len(frames), func(i int) {
 		f := frames[i]
 		if f.Degraded {
 			return
@@ -165,7 +166,9 @@ func (tk *Tracker) TrackContext(ctx context.Context, frames []*Frame) (*Result, 
 		} else {
 			spmdM[i] = NewMatrix("spmd", i, i, f.NumClusters, f.NumClusters)
 		}
-	})
+	}); err != nil {
+		return nil, err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -174,12 +177,14 @@ func (tk *Tracker) TrackContext(ctx context.Context, frames []*Frame) (*Result, 
 	// joins their relations afterwards).
 	res := &Result{Frames: frames, Pairs: make([]*PairResult, max(0, len(active)-1))}
 	res.Diagnostics = gatherFrameDiagnostics(frames)
-	runBounded(max(0, len(active)-1), func(k int) {
+	if err := runBounded(max(0, len(active)-1), func(k int) {
 		i, j := active[k], active[k+1]
 		res.Pairs[k] = tk.trackPair(ctx, frames[i], frames[j],
 			spmdM[i], spmdM[j], spmdPairs[i], spmdPairs[j],
 			consensus[i], consensus[j])
-	})
+	}); err != nil {
+		return nil, err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -195,17 +200,29 @@ func (tk *Tracker) TrackContext(ctx context.Context, frames []*Frame) (*Result, 
 
 // runBounded invokes fn(0..n-1), fanning out across at most GOMAXPROCS
 // worker goroutines. fn instances must be independent (each writing only
-// its own result slot).
-func runBounded(n int, fn func(int)) {
+// its own result slot). A panicking fn does not take the process down: it
+// is recovered on its worker while the other indices still run, and the
+// panics come back as one error, joined in index order so the error is
+// schedule-independent.
+func runBounded(n int, fn func(int)) error {
+	errs := make([]error, n)
+	call := func(i int) {
+		defer func() {
+			if r := recover(); r != nil {
+				errs[i] = panicError(r)
+			}
+		}()
+		fn(i)
+	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			call(i)
 		}
-		return
+		return errors.Join(errs...)
 	}
 	next := make(chan int)
 	var wg sync.WaitGroup
@@ -214,7 +231,7 @@ func runBounded(n int, fn func(int)) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				fn(i)
+				call(i)
 			}
 		}()
 	}
@@ -223,6 +240,16 @@ func runBounded(n int, fn func(int)) {
 	}
 	close(next)
 	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// panicError converts a recovered panic value into an error, keeping an
+// error value wrapped.
+func panicError(r any) error {
+	if err, ok := r.(error); ok {
+		return fmt.Errorf("core: worker panic: %w", err)
+	}
+	return fmt.Errorf("core: worker panic: %v", r)
 }
 
 // trackPair runs the combination algorithm for one pair of frames:

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"perftrack/internal/trace"
@@ -368,5 +371,37 @@ func TestUniqueCandidate(t *testing.T) {
 	}
 	if got := uniqueCandidate(m, 2); got != 0 {
 		t.Errorf("empty row should give 0, got %d", got)
+	}
+}
+
+// TestRunBoundedRecoversPanics pins the worker-pool boundary: panicking
+// items come back as one error, in index order whatever the schedule,
+// instead of killing the process, and every other item runs.
+func TestRunBoundedRecoversPanics(t *testing.T) {
+	for _, n := range []int{1, 64} {
+		var ran atomic.Int64
+		err := runBounded(n, func(i int) {
+			ran.Add(1)
+			if i == n-1 || i == 0 {
+				panic(fmt.Sprintf("item %d", i))
+			}
+		})
+		want := fmt.Sprintf("core: worker panic: item %d", n-1)
+		if n > 1 {
+			want = "core: worker panic: item 0\n" + want
+		}
+		if err == nil || err.Error() != want {
+			t.Errorf("n=%d: runBounded error = %q, want %q", n, err, want)
+		}
+		if ran.Load() != int64(n) {
+			t.Errorf("n=%d: %d items ran, want all", n, ran.Load())
+		}
+	}
+	boom := errors.New("boom")
+	if err := runBounded(4, func(i int) { panic(boom) }); !errors.Is(err, boom) {
+		t.Errorf("panic with an error value = %v, want it wrapped", err)
+	}
+	if err := runBounded(8, func(int) {}); err != nil {
+		t.Errorf("clean run = %v", err)
 	}
 }

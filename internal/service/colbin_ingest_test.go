@@ -7,7 +7,9 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -335,3 +337,85 @@ func TestTraceCacheKeyedByMode(t *testing.T) {
 	}
 }
 
+// withCraftedBlock returns a copy of the colbin encoding data with one
+// extra burst block spliced in before the end marker, claiming 2^64-10
+// bursts: a count that wraps negative if converted to int unchecked.
+func withCraftedBlock(t *testing.T, data []byte) []byte {
+	t.Helper()
+	out := append([]byte(nil), data[:len(trace.ColbinMagic)]...)
+	for off := len(trace.ColbinMagic); off < len(data); {
+		bodyLen := int(binary.LittleEndian.Uint32(data[off:]))
+		frame := data[off : off+8+bodyLen]
+		if frame[8] == 'E' {
+			body := []byte{'B', 0xf6, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}
+			var hdr [8]byte
+			binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)))
+			binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+			out = append(append(out, hdr[:]...), body...)
+		}
+		out = append(out, frame...)
+		off += 8 + bodyLen
+	}
+	return out
+}
+
+// TestCraftedBlockCountRejected sends a colbin body whose block burst
+// count overflows int to both ingest boundaries. Strict decoding must
+// answer 400, lenient decoding may salvage but never 5xx, and the node
+// must keep serving afterwards: the decoder once panicked on this input
+// inside a worker goroutine, killing the process.
+func TestCraftedBlockCountRejected(t *testing.T) {
+	texts, bins := uploadPair(t)
+	s := newTest(t, Config{Workers: 1})
+	defer shutdown(t, s)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	crafted := append(append([]byte(nil), bins[0]...), withCraftedBlock(t, bins[1])...)
+	if _, err := trace.DecodeColbin(withCraftedBlock(t, bins[1])); err == nil {
+		t.Fatal("crafted block decoded cleanly; the test input is not exercising the bound")
+	}
+	post := func(url, ctype string, body []byte) int {
+		t.Helper()
+		resp, err := http.Post(url, ctype, bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v (node down?)", url, err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post(srv.URL+"/v1/jobs", "application/octet-stream", crafted); code != http.StatusBadRequest {
+		t.Errorf("strict job with crafted block: code %d, want 400", code)
+	}
+	if code := post(srv.URL+"/v1/jobs?lenient=true", "application/octet-stream", crafted); code >= 500 {
+		t.Errorf("lenient job with crafted block: code %d, want no 5xx", code)
+	}
+
+	resp, err := http.Post(srv.URL+"/v1/streams", "application/json",
+		strings.NewReader(`{"label":"crafted","window":{"countN":64}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sv StreamView
+	json.NewDecoder(resp.Body).Decode(&sv)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("stream create: %s", resp.Status)
+	}
+	appendURL := srv.URL + "/v1/streams/" + sv.ID + "/bursts"
+	if code := post(appendURL+"?strict=1", "application/octet-stream", withCraftedBlock(t, bins[0])); code != http.StatusBadRequest {
+		t.Errorf("strict stream append with crafted block: code %d, want 400", code)
+	}
+	if code := post(appendURL, "application/octet-stream", withCraftedBlock(t, bins[0])); code >= 500 {
+		t.Errorf("lenient stream append with crafted block: code %d, want no 5xx", code)
+	}
+
+	// Still serving: a well-formed append and a well-formed job go through.
+	if code := post(appendURL, "application/octet-stream", []byte(texts[1])); code != http.StatusOK {
+		t.Errorf("append after crafted bodies: code %d, want 200", code)
+	}
+	valid := append(append([]byte(nil), bins[0]...), bins[1]...)
+	if code := post(srv.URL+"/v1/jobs", "application/octet-stream", valid); code != http.StatusOK && code != http.StatusAccepted {
+		t.Errorf("job after crafted bodies: code %d, want accept", code)
+	}
+}

@@ -23,7 +23,7 @@ func genTrace(seed uint64, big bool) *Trace {
 		Meta: Metadata{
 			App: "colbin gen", Label: "seed-run", Ranks: 16, TasksPerNode: 4,
 			Machine: "Mare Nostrum", Compiler: `gfortran "4.1.2" -O3`,
-			Params:  map[string]string{"class": "B", "block size": "128", "π": "3.14"},
+			Params: map[string]string{"class": "B", "block size": "128", "π": "3.14"},
 		},
 	}
 	funcs := []string{"solve_x", "mat mul", "", "cálculo", "init\tphase"}
@@ -160,15 +160,20 @@ func TestColbinTextDifferential(t *testing.T) {
 	}
 }
 
+// goldenColbin is the encoding TestColbinGoldenLayout pins.
+func goldenColbin() []byte {
+	tr := sampleTrace()
+	tr.Bursts[1].Counters[metrics.CtrCycles] = 12345.5
+	tr.Bursts[2].Phase = -1
+	return EncodeColbin(tr)
+}
+
 // TestColbinGoldenLayout pins the on-disk byte layout — section order,
 // column order, encodings — the same way the golden hash tests pin the
 // fingerprint format. If this fails, the format changed: bump the magic
 // version, do not update the hash casually.
 func TestColbinGoldenLayout(t *testing.T) {
-	tr := sampleTrace()
-	tr.Bursts[1].Counters[metrics.CtrCycles] = 12345.5
-	tr.Bursts[2].Phase = -1
-	sum := sha256.Sum256(EncodeColbin(tr))
+	sum := sha256.Sum256(goldenColbin())
 	const want = "fad8a93b7080dc9b52229278a0839fa962549c6744e542bd13dcbdf98d416310"
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Fatalf("colbin layout hash changed:\n got %s\nwant %s", got, want)

@@ -18,7 +18,7 @@ import (
 type Flat struct {
 	Meta Metadata
 	// N is the burst count; every column has length N.
-	N int
+	N            int
 	Task, Thread []int32
 	StartNS      []int64
 	DurationNS   []int64
@@ -49,20 +49,16 @@ func DecodeColbinFlat(data []byte) (*Flat, error) {
 		Counters: make([]float64, total*int(metrics.NumCounters)),
 		Stride:   int(metrics.NumCounters),
 	}
-	bad := make([]error, len(blocks))
-	runColBlocks(len(blocks), func(i int) {
+	bad := runColBlocks(len(blocks), func(i int) error {
 		b := blocks[i]
 		if crc32.Checksum(b.frame, colbinCRC) != b.crc {
-			bad[i] = fmt.Errorf("trace: colbin section %d: block crc mismatch", b.section)
-			return
+			return fmt.Errorf("block crc mismatch")
 		}
-		if err := decodeColBlockFlat(b.body, f, b.off, b.n, meta.order); err != nil {
-			bad[i] = fmt.Errorf("trace: colbin section %d: %w", b.section, err)
-		}
+		return decodeColBlockFlat(b.body, f, b.off, b.n, meta.order)
 	})
-	for _, err := range bad {
+	for i, err := range bad {
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("trace: colbin section %d: %w", blocks[i].section, err)
 		}
 	}
 	return f, nil
@@ -106,8 +102,7 @@ func scanColbinStrict(data []byte) (*colMeta, []string, []colBlock, int, error) 
 				return nil, nil, nil, 0, fmt.Errorf("trace: colbin section %d: burst block before metadata/string table", section)
 			}
 			n, k := binary.Uvarint(payload)
-			minPer := 8 + 8*len(meta.order)
-			if k <= 0 || int(n) > len(payload)/max(1, minPer)+1 {
+			if k <= 0 || !plausibleBlockCount(n, len(payload), len(meta.order), total) {
 				return nil, nil, nil, 0, fmt.Errorf("trace: colbin section %d: implausible block burst count", section)
 			}
 			blocks = append(blocks, colBlock{
@@ -140,7 +135,7 @@ func scanColbinStrict(data []byte) (*colMeta, []string, []colBlock, int, error) 
 				strtab = st
 			case sectionEnd:
 				n, k := binary.Uvarint(payload)
-				if k <= 0 || int(n) != total {
+				if k <= 0 || n != uint64(total) {
 					return nil, nil, nil, 0, fmt.Errorf("trace: colbin section %d: end marker disagrees with blocks", section)
 				}
 				sawEnd = true

@@ -291,7 +291,7 @@ func decodeColbin(data []byte, opts DecodeOptions, t *Trace) (DecodeDiagnostics,
 				if k <= 0 {
 					return diag, fmt.Errorf("trace: colbin section %d: malformed end marker", section)
 				}
-				if opts.Strict && int(n) != total {
+				if opts.Strict && n != uint64(total) {
 					return diag, fmt.Errorf("trace: colbin section %d: end marker counts %d bursts, blocks carry %d", section, n, total)
 				}
 				sawEnd = true
@@ -300,12 +300,10 @@ func decodeColbin(data []byte, opts DecodeOptions, t *Trace) (DecodeDiagnostics,
 			if meta == nil || strtab == nil {
 				return diag, fmt.Errorf("trace: colbin section %d: burst block before metadata/string table", section)
 			}
+			// The count sizes the output before the block's CRC is
+			// checked (in the parallel phase), so bound it first.
 			n, k := binary.Uvarint(payload)
-			// The count gates the output allocation, so bound it by what
-			// the payload could possibly hold before trusting it (CRC is
-			// checked later, in the parallel phase).
-			minPer := 8 + 8*len(meta.order)
-			if k <= 0 || int(n) > len(payload)/max(1, minPer)+1 {
+			if k <= 0 || !plausibleBlockCount(n, len(payload), len(meta.order), total) {
 				if err := quarantine(section, fmt.Errorf("implausible block burst count")); err != nil {
 					return diag, err
 				}
@@ -350,23 +348,18 @@ func decodeColbin(data []byte, opts DecodeOptions, t *Trace) (DecodeDiagnostics,
 	// Pass 2: decode blocks in parallel into one contiguous burst slice.
 	t.Meta = meta.meta
 	t.Bursts = growBursts(t.Bursts, total)
-	bad := make([]error, len(blocks))
-	runColBlocks(len(blocks), func(i int) {
+	bad := runColBlocks(len(blocks), func(i int) error {
 		b := blocks[i]
 		if crc32.Checksum(b.frame, colbinCRC) != b.crc {
-			bad[i] = fmt.Errorf("block crc mismatch (%d bursts quarantined)", b.n)
-			return
+			return fmt.Errorf("block crc mismatch")
 		}
-		bad[i] = decodeColBlock(b.body, t.Bursts[b.off:b.off+b.n], strtab, meta.order)
-		if bad[i] != nil {
-			bad[i] = fmt.Errorf("%v (%d bursts quarantined)", bad[i], b.n)
-		}
+		return decodeColBlock(b.body, t.Bursts[b.off:b.off+b.n], strtab, meta.order)
 	})
 	// Compact out quarantined block ranges, preserving order.
 	w := 0
 	for i, b := range blocks {
 		if bad[i] != nil {
-			if err := quarantine(b.section, bad[i]); err != nil {
+			if err := quarantine(b.section, fmt.Errorf("%v (%d bursts quarantined)", bad[i], b.n)); err != nil {
 				return diag, err
 			}
 			continue
@@ -567,19 +560,39 @@ func (r *colCursor) str(what string) string {
 	return s
 }
 
+// plausibleBlockCount reports whether a block's claimed burst count n can
+// be trusted to size the output: a payload of the given length cannot
+// hold more than one burst per 8+8·counters bytes, and the running total
+// must not overflow. The count comes off the wire as a uint64 and is
+// compared as one: converting first would wrap a crafted 2^64-10 to -10.
+func plausibleBlockCount(n uint64, payload, counters, total int) bool {
+	return n <= uint64(payload/(8+8*counters)+1) && n <= uint64(math.MaxInt-total)
+}
+
 // runColBlocks fans fn(0..n-1) across at most GOMAXPROCS goroutines —
 // the same bounded-pool pattern as the analysis core, local to this
-// package because core depends on trace.
-func runColBlocks(n int, fn func(int)) {
+// package because core depends on trace. It returns fn(i)'s error at
+// index i; a panic in fn(i) is recovered on its worker and reported there
+// too, so one bad block cannot take the process down with it.
+func runColBlocks(n int, fn func(int) error) []error {
+	errs := make([]error, n)
+	call := func(i int) {
+		defer func() {
+			if r := recover(); r != nil {
+				errs[i] = fmt.Errorf("panic decoding block: %v", r)
+			}
+		}()
+		errs[i] = fn(i)
+	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			call(i)
 		}
-		return
+		return errs
 	}
 	next := make(chan int)
 	var wg sync.WaitGroup
@@ -588,7 +601,7 @@ func runColBlocks(n int, fn func(int)) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				fn(i)
+				call(i)
 			}
 		}()
 	}
@@ -597,4 +610,5 @@ func runColBlocks(n int, fn func(int)) {
 	}
 	close(next)
 	wg.Wait()
+	return errs
 }

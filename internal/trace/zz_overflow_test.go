@@ -1,6 +1,9 @@
 package trace
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func craft(metaTotalZero bool) []byte {
 	tr := &Trace{Meta: Metadata{App: "a"}}
@@ -50,10 +53,80 @@ func craft(metaTotalZero bool) []byte {
 
 func TestOverflowLenient(t *testing.T) {
 	tt, diag, err := DecodeColbinWith(craft(false), DecodeOptions{Strict: false})
-	t.Logf("lenient: trace=%v diag=%+v err=%v", tt != nil, diag, err)
+	if err != nil {
+		t.Fatalf("lenient decode of a crafted block count failed: %v", err)
+	}
+	if len(diag.BadLines) != 1 || !strings.Contains(diag.BadLines[0].Reason, "implausible block burst count") {
+		t.Fatalf("lenient diagnostics = %+v, want the crafted block quarantined", diag.BadLines)
+	}
+	if len(tt.Bursts) != 10 {
+		t.Fatalf("lenient decode kept %d bursts, want the 10 genuine ones", len(tt.Bursts))
+	}
+	for i, b := range tt.Bursts {
+		if b.Task != i || b.StartNS != int64(i) {
+			t.Fatalf("burst %d = task %d start %d, want the genuine bursts in order", i, b.Task, b.StartNS)
+		}
+	}
 }
 
 func TestOverflowStrictPatchedMeta(t *testing.T) {
 	tt, _, err := DecodeColbinWith(craft(true), DecodeOptions{Strict: true})
-	t.Logf("strict: trace=%v err=%v", tt != nil, err)
+	if err == nil || !strings.Contains(err.Error(), "implausible block burst count") {
+		t.Fatalf("strict decode = (%v, %v), want the implausible block count rejected", tt != nil, err)
+	}
+	if _, err := DecodeColbinFlat(craft(true)); err == nil {
+		t.Fatal("flat decode accepted a crafted block count")
+	}
+}
+
+// TestRunColBlocksRecoversPanics pins the pool boundary: a panicking
+// block decoder surfaces as that block's error, and the other blocks
+// still decode.
+func TestRunColBlocksRecoversPanics(t *testing.T) {
+	errs := runColBlocks(8, func(i int) error {
+		if i == 3 {
+			var s []int
+			_ = s[i]
+		}
+		return nil
+	})
+	for i, err := range errs {
+		if (err != nil) != (i == 3) {
+			t.Fatalf("block %d: err = %v", i, err)
+		}
+	}
+}
+
+// FuzzColbinDecode mutates raw bytes around the golden layout and the
+// crafted block counts, and drives every colbin decode entry point with
+// them. Whatever the input, no decoder may panic; an input the strict
+// decoder accepts must decode identically in lenient mode, into a reused
+// trace and through the format sniffer, and must round-trip.
+func FuzzColbinDecode(f *testing.F) {
+	f.Add(goldenColbin())
+	f.Add(craft(false))
+	f.Add(craft(true))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		strict, serr := DecodeColbin(data)
+		lenient, diag, lerr := DecodeColbinWith(data, DecodeOptions{})
+		_, _ = DecodeColbinFlat(data)
+		var into Trace
+		ierr := DecodeColbinInto(data, &into)
+		if serr != nil {
+			return
+		}
+		if lerr != nil || diag.Skipped() != 0 || diag.Truncated {
+			t.Fatalf("lenient decode of a strictly valid input: err=%v diag=%+v", lerr, diag)
+		}
+		if ierr != nil {
+			t.Fatalf("DecodeColbinInto rejected a strictly valid input: %v", ierr)
+		}
+		if !equalTraces(lenient, strict) || !equalTraces(&into, strict) {
+			t.Fatal("decode entry points disagree on a strictly valid input")
+		}
+		back, err := DecodeColbin(EncodeColbin(strict))
+		if err != nil || !equalTraces(back, strict) {
+			t.Fatalf("accepted input does not round-trip: %v", err)
+		}
+	})
 }
