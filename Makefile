@@ -82,6 +82,9 @@ chaos:
 
 # fuzz-short gives each differential fuzz target a brief budget — enough
 # to shake the seeded corpus and mutate around it on every check run.
+# Every trace decoder reachable from the network is fuzzed from raw
+# bytes here: the text parser (strict and lenient, POST /v1/jobs and
+# stream appends), the colbin decoder and the multi-trace body splitter.
 fuzz-short:
 	$(GO) test -run=^$$ -fuzz=FuzzDBSCANDifferential -fuzztime=5s ./internal/cluster/
 	$(GO) test -run=^$$ -fuzz=FuzzNNDifferential -fuzztime=5s ./internal/cluster/
@@ -91,6 +94,9 @@ fuzz-short:
 	$(GO) test -run=^$$ -fuzz=FuzzScenarioRoundTrip -fuzztime=5s ./internal/trackeval/
 	$(GO) test -run=^$$ -fuzz=FuzzColbinRoundTrip -fuzztime=5s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzColbinDecode -fuzztime=5s ./internal/trace/
+	$(GO) test -run=^$$ -fuzz=FuzzSplitColbin -fuzztime=5s ./internal/trace/
+	$(GO) test -run=^$$ -fuzz=FuzzRead$$ -fuzztime=5s ./internal/trace/
+	$(GO) test -run=^$$ -fuzz=FuzzLenientRead -fuzztime=5s ./internal/trace/
 
 # trackeval runs the tracking-quality gate: the pinned planted-truth
 # scenario corpus (all seeds, all families, fault-degraded frames) plus
@@ -144,12 +150,12 @@ bench-stream:
 
 # bench-codec runs the trace-codec microbenchmarks (text vs binary
 # columnar reads/writes over the same oracle trace), rewriting
-# BENCH_codec.json; fails if colbin decode is not >= 5x the text parse
-# or the cache-hit re-read (DecodeColbinInto) is not >= 10x.
+# BENCH_codec.json; fails if DecodeColbin — the call a service cache hit
+# makes — is not >= 10x the strict text parse.
 bench-codec:
 	scripts/bench_codec.sh
 
-# A short fuzzing pass over the trace decoders (lenient + strict + CSV).
+# A longer fuzzing pass over the text trace decoder (lenient + strict).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzLenientRead -fuzztime=30s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzRead$$ -fuzztime=30s ./internal/trace/

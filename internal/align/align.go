@@ -307,10 +307,3 @@ func Identity(alignedA, alignedB []int) (float64, error) {
 	}
 	return float64(matches) / float64(aligned), nil
 }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -43,7 +43,7 @@ func uploadPair(t *testing.T) (texts []string, bins [][]byte) {
 		// Encode the PARSED text, not the in-memory trace: the text
 		// writer canonicalises burst order, and the binary submission
 		// must fingerprint identically to the text one.
-		parsed, err := trace.Read(bytes.NewReader(buf.Bytes()))
+		parsed, _, err := trace.ReadWith(bytes.NewReader(buf.Bytes()), trace.DecodeOptions{Strict: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,6 +115,38 @@ func TestBinarySubmitMatchesText(t *testing.T) {
 	}
 	if spec.key != textView.Key {
 		t.Fatalf("re-marshalled tracesBin fingerprints %s, want %s", spec.key, textView.Key)
+	}
+}
+
+// TestTracesBinRejectsText: a JSON tracesBin entry must carry the colbin
+// magic. Text belongs in traces, so a text payload there is a 400 even
+// though the decoder underneath sniffs both formats.
+func TestTracesBinRejectsText(t *testing.T) {
+	texts, bins := uploadPair(t)
+	s := newTest(t, Config{Workers: 1})
+	defer shutdown(t, s)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	for _, lenient := range []bool{false, true} {
+		for name, entries := range map[string][][]byte{
+			"all text": {[]byte(texts[0]), []byte(texts[1])},
+			"one text": {bins[0], []byte(texts[1])},
+			"no magic": {bins[0], bins[1][len(trace.ColbinMagic):]},
+		} {
+			body, err := json.Marshal(JobRequest{TracesBin: entries, Lenient: lenient})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s (lenient=%v): got %s, want 400", name, lenient, resp.Status)
+			}
+		}
 	}
 }
 

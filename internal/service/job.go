@@ -206,7 +206,11 @@ func resolveThrough(req JobRequest, tc *store.TraceCache) (*jobSpec, error) {
 			spec.traces = append(spec.traces, t)
 		}
 		for i, raw := range req.TracesBin {
-			t, diag, err := trace.DecodeColbinWith(raw, opts)
+			// tracesBin carries colbin only: text belongs in traces.
+			if !trace.IsColbin(raw) {
+				return nil, fmt.Errorf("trace %d: tracesBin entry is not colbin (missing %q magic)", i, trace.ColbinMagic)
+			}
+			t, diag, err := trace.DecodeAny(raw, opts)
 			if err != nil {
 				return nil, fmt.Errorf("trace %d: %w", i, err)
 			}

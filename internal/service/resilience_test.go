@@ -305,6 +305,66 @@ func TestExecBreakerTripsOnPipelineFailures(t *testing.T) {
 	}
 }
 
+// TestWorkerPanicFailsOneJob: a panic inside a job's execution ends that
+// job failed with a "panic: ..." error, resolves its journal intent,
+// counts as a breaker failure, and leaves the node serving: the next job
+// succeeds and /healthz still answers.
+func TestWorkerPanicFailsOneJob(t *testing.T) {
+	reqs := simUploads(t)
+	bad, err := resolve(reqs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{
+		Workers: 1, StoreDir: t.TempDir(), StoreSyncEvery: 1,
+		BreakerThreshold: 2, BreakerCooldown: time.Hour,
+		testExecHook: func(key string) {
+			if key == bad.key {
+				panic("evaluator bug")
+			}
+		},
+	})
+	waitReady(t, s)
+
+	j, _, err := s.Submit(reqs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Wait(context.Background(), j)
+	if _, state, msg := s.Result(j); state != StateFailed || msg != "panic: evaluator bug" {
+		t.Fatalf("panicking job: state %s, error %q; want failed with the panic", state, msg)
+	}
+	if got := s.journal.Stats().Pending; got != 0 {
+		t.Fatalf("journal pending %d after a panicked job, want 0", got)
+	}
+	s.execBreaker.mu.Lock()
+	fails := s.execBreaker.fails
+	s.execBreaker.mu.Unlock()
+	if fails != 1 {
+		t.Fatalf("exec breaker saw %d failures, want 1", fails)
+	}
+
+	j2, _, err := s.Submit(reqs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Wait(context.Background(), j2)
+	if _, state, msg := s.Result(j2); state != StateDone {
+		t.Fatalf("job after the panic: state %s (%s), want done", state, msg)
+	}
+
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz after a panicked job: %s", resp.Status)
+	}
+}
+
 // TestReplayAfterShutdownWithQueuedJobs: jobs acknowledged but not
 // finished when the daemon stops stay pending in the journal; the next
 // startup replays them to completion and /readyz flips only when the

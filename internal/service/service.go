@@ -456,9 +456,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Registry exposes the metrics registry (for embedding hosts).
-func (s *Server) Registry() *Registry { return s.reg }
-
 // Submit resolves the request, consults the cache and singleflight table,
 // and either returns a finished job (cache hit), an existing identical
 // in-flight job (coalesced=true), or enqueues a new one. ErrQueueFull
@@ -745,10 +742,19 @@ func (s *Server) run(j *Job) {
 		}
 	}
 	if !fetched {
-		if s.testExecHook != nil {
-			s.testExecHook(j.Key)
-		}
-		result, diags, err = s.execute(ctx, j.spec)
+		// A panic anywhere in the pipeline fails this job, not the node:
+		// it flows through the classification below like any error.
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					result, diags, err = nil, nil, fmt.Errorf("panic: %v", r)
+				}
+			}()
+			if s.testExecHook != nil {
+				s.testExecHook(j.Key)
+			}
+			result, diags, err = s.execute(ctx, j.spec)
+		}()
 	}
 
 	// Classify the outcome once; the journal resolution, the breaker
@@ -1398,7 +1404,3 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, status, ready)
 }
-
-// Hash re-exports the canonical trace hash for clients that want to
-// predict cache keys.
-func Hash(ts []*trace.Trace) [32]byte { return trace.HashSequence(ts) }

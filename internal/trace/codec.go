@@ -137,11 +137,10 @@ func WriteFile(path string, t *Trace) error {
 	return f.Close()
 }
 
-// DecodeOptions selects between strict decoding (the historical
-// all-or-nothing behaviour of Read) and lenient decoding, which
-// quarantines malformed lines with line-numbered diagnostics and keeps
-// going — the mode real, partially corrupted traces need. The zero value
-// is maximally lenient.
+// DecodeOptions selects between strict, all-or-nothing decoding and
+// lenient decoding, which quarantines malformed lines with line-numbered
+// diagnostics and keeps going — the mode real, partially corrupted
+// traces need. The zero value is maximally lenient.
 type DecodeOptions struct {
 	// Strict aborts at the first malformed line. False quarantines
 	// malformed lines instead.
@@ -198,13 +197,6 @@ func (d DecodeDiagnostics) Summary() string {
 		fmt.Fprintf(&sb, "; line %d: %s", bl.Line, bl.Reason)
 	}
 	return sb.String()
-}
-
-// Read parses a trace in the perftrack text format, strictly: the first
-// malformed line aborts the decode.
-func Read(r io.Reader) (*Trace, error) {
-	t, _, err := ReadWith(r, DecodeOptions{Strict: true})
-	return t, err
 }
 
 // ReadWith parses a trace according to opts. In lenient mode malformed
@@ -320,26 +312,6 @@ func ReadWith(r io.Reader, opts DecodeOptions) (*Trace, DecodeDiagnostics, error
 			return nil, diag, fmt.Errorf("trace: missing %s header", formatMagic)
 		}
 		diag.MissingHeader = true
-	}
-	return t, diag, nil
-}
-
-// ReadFile parses the named trace file strictly.
-func ReadFile(path string) (*Trace, error) {
-	t, _, err := ReadFileWith(path, DecodeOptions{Strict: true})
-	return t, err
-}
-
-// ReadFileWith parses the named trace file according to opts.
-func ReadFileWith(path string, opts DecodeOptions) (*Trace, DecodeDiagnostics, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, DecodeDiagnostics{}, err
-	}
-	defer f.Close()
-	t, diag, err := ReadWith(f, opts)
-	if err != nil {
-		return nil, diag, fmt.Errorf("%s: %w", path, err)
 	}
 	return t, diag, nil
 }

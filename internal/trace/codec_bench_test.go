@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"perftrack/internal/metrics"
 	"perftrack/internal/oracle"
 	"perftrack/internal/trace"
 )
@@ -23,15 +22,15 @@ func benchCodecTrace(b *testing.B) (*trace.Trace, []byte, []byte) {
 }
 
 // BenchmarkCodecTextRead is the baseline the binary format is measured
-// against: the line-oriented text parse (strconv + field splitting per
-// burst). scripts/bench_codec.sh gates colbin read at >= 5x this.
+// against: the strict line-oriented text parse (strconv + field splitting
+// per burst).
 func BenchmarkCodecTextRead(b *testing.B) {
 	_, text, _ := benchCodecTrace(b)
 	b.SetBytes(int64(len(text)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := trace.Read(bytes.NewReader(text)); err != nil {
+		if _, _, err := trace.ReadWith(bytes.NewReader(text), trace.DecodeOptions{Strict: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -51,6 +50,8 @@ func BenchmarkCodecTextWrite(b *testing.B) {
 	}
 }
 
+// BenchmarkCodecColbinRead times DecodeColbin, the call a service cache
+// hit makes. scripts/bench_codec.sh gates it at >= 10x the text parse.
 func BenchmarkCodecColbinRead(b *testing.B) {
 	_, text, bin := benchCodecTrace(b)
 	b.SetBytes(int64(len(text))) // text-equivalent bytes, so MB/s compares across codecs
@@ -71,41 +72,4 @@ func BenchmarkCodecColbinWrite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		trace.EncodeColbin(tr)
 	}
-}
-
-// BenchmarkCodecColbinReadInto is the cached-re-read path: the service
-// decodes a cache hit into a reused Trace, so steady state does no
-// per-burst allocation. scripts/bench_codec.sh gates this at >= 10x the
-// text parse.
-func BenchmarkCodecColbinReadInto(b *testing.B) {
-	_, text, bin := benchCodecTrace(b)
-	var dst trace.Trace
-	b.SetBytes(int64(len(text)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := trace.DecodeColbinInto(bin, &dst); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCodecColbinReadFlat decodes straight into the strided column
-// layout and projects the metric space from it, the zero-copy feed into
-// clustering.
-func BenchmarkCodecColbinReadFlat(b *testing.B) {
-	_, text, bin := benchCodecTrace(b)
-	ms := []metrics.Metric{metrics.IPC, metrics.Instructions}
-	var pts []float64
-	b.SetBytes(int64(len(text)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, err := trace.DecodeColbinFlat(bin)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pts = f.PointsInto(pts[:0], ms)
-	}
-	_ = pts
 }

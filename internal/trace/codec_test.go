@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"math/rand/v2"
 	"path/filepath"
 	"reflect"
@@ -12,15 +13,21 @@ import (
 	"perftrack/internal/metrics"
 )
 
+// readStrict parses text strictly: the first malformed line aborts.
+func readStrict(r io.Reader) (*Trace, error) {
+	t, _, err := ReadWith(r, DecodeOptions{Strict: true})
+	return t, err
+}
+
 func roundTrip(t *testing.T, tr *Trace) *Trace {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := Write(&buf, tr); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	got, err := Read(&buf)
+	got, err := readStrict(&buf)
 	if err != nil {
-		t.Fatalf("Read: %v\ninput:\n%s", err, buf.String())
+		t.Fatalf("ReadWith: %v\ninput:\n%s", err, buf.String())
 	}
 	return got
 }
@@ -80,7 +87,7 @@ func TestCodecFileRoundTrip(t *testing.T) {
 	if err := WriteFile(path, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFile(path)
+	got, _, err := DecodeFile(path, DecodeOptions{Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +97,7 @@ func TestCodecFileRoundTrip(t *testing.T) {
 }
 
 func TestReadFileMissing(t *testing.T) {
-	if _, err := ReadFile(filepath.Join(t.TempDir(), "nope")); err == nil {
+	if _, _, err := DecodeFile(filepath.Join(t.TempDir(), "nope"), DecodeOptions{}); err == nil {
 		t.Error("missing file should error")
 	}
 }
@@ -110,15 +117,15 @@ func TestCodecErrors(t *testing.T) {
 		{"unterminated quote", "#PERFTRACK 1\n#meta app=\"oops\n"},
 	}
 	for _, c := range cases {
-		if _, err := Read(strings.NewReader(c.input)); err == nil {
-			t.Errorf("%s: Read accepted malformed input", c.name)
+		if _, err := readStrict(strings.NewReader(c.input)); err == nil {
+			t.Errorf("%s: strict ReadWith accepted malformed input", c.name)
 		}
 	}
 }
 
 func TestCodecIgnoresUnknownDirectives(t *testing.T) {
 	input := "#PERFTRACK 1\n#meta app=x ranks=1 future=stuff\n#fancy new directive\nB 0 0 0 1 f f.c 1 0 0 0 0 0 0 0\n"
-	tr, err := Read(strings.NewReader(input))
+	tr, err := readStrict(strings.NewReader(input))
 	if err != nil {
 		t.Fatalf("forward-compat parse failed: %v", err)
 	}
@@ -129,7 +136,7 @@ func TestCodecIgnoresUnknownDirectives(t *testing.T) {
 
 func TestCodecBlankLines(t *testing.T) {
 	input := "#PERFTRACK 1\n\n\nB 0 0 0 1 f f.c 1 0 0 0 0 0 0 0\n\n"
-	tr, err := Read(strings.NewReader(input))
+	tr, err := readStrict(strings.NewReader(input))
 	if err != nil || len(tr.Bursts) != 1 {
 		t.Errorf("blank lines broke parsing: %v %+v", err, tr)
 	}
@@ -138,7 +145,7 @@ func TestCodecBlankLines(t *testing.T) {
 func TestCodecCounterOrderHeader(t *testing.T) {
 	// A reordered #counters header must assign values to the right slots.
 	input := "#PERFTRACK 1\n#counters PAPI_TOT_CYC PAPI_TOT_INS\nB 0 0 0 1 f f.c 1 0 50 100\n"
-	tr, err := Read(strings.NewReader(input))
+	tr, err := readStrict(strings.NewReader(input))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +196,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		if err := Write(&buf, tr); err != nil {
 			return false
 		}
-		got, err := Read(&buf)
+		got, err := readStrict(&buf)
 		if err != nil {
 			return false
 		}
@@ -223,7 +230,7 @@ func BenchmarkRead(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Read(bytes.NewReader(data)); err != nil {
+		if _, err := readStrict(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 	}

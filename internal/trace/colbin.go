@@ -3,7 +3,6 @@ package trace
 import (
 	"encoding/binary"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 
@@ -213,30 +212,10 @@ func appendDeltaColumn(buf []byte, n int, get func(int) int64) []byte {
 	return buf
 }
 
-// WriteColbin serialises the trace to w in the binary columnar format.
-func WriteColbin(w io.Writer, t *Trace) error {
-	data := EncodeColbin(t)
-	for len(data) > 0 {
-		n, err := w.Write(data)
-		if err != nil {
-			return err
-		}
-		data = data[n:]
-	}
-	return nil
-}
-
-// WriteColbinFile serialises the trace to the named file.
+// WriteColbinFile serialises the trace to the named file in the binary
+// columnar format.
 func WriteColbinFile(path string, t *Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteColbin(f, t); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return os.WriteFile(path, EncodeColbin(t), 0o666)
 }
 
 // sortedParamKeys returns the parameter keys in sorted order (the same

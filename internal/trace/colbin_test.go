@@ -6,8 +6,10 @@ import (
 	"encoding/hex"
 	"math"
 	"math/rand/v2"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"perftrack/internal/metrics"
@@ -130,7 +132,7 @@ func TestColbinTextDifferential(t *testing.T) {
 		if err := Write(&text1, orig); err != nil {
 			t.Fatal(err)
 		}
-		parsed, err := Read(bytes.NewReader(text1.Bytes()))
+		parsed, err := readStrict(bytes.NewReader(text1.Bytes()))
 		if err != nil {
 			// NaN/Inf counters round-trip through the text format too,
 			// so a parse failure is a real regression.
@@ -180,44 +182,22 @@ func TestColbinGoldenLayout(t *testing.T) {
 	}
 }
 
-func TestColbinDecodeIntoReuse(t *testing.T) {
-	a, b := genTrace(1, false), genTrace(2, false)
-	dataA, dataB := EncodeColbin(a), EncodeColbin(b)
-	var tr Trace
-	if err := DecodeColbinInto(dataA, &tr); err != nil {
-		t.Fatal(err)
-	}
-	if !equalTraces(&tr, a) {
-		t.Fatal("first DecodeColbinInto mismatch")
-	}
-	if err := DecodeColbinInto(dataB, &tr); err != nil {
-		t.Fatal(err)
-	}
-	if !equalTraces(&tr, b) {
-		t.Fatal("reused DecodeColbinInto mismatch")
-	}
-}
-
-// TestColbinDecodeIntoAllocs pins the binary decoder's allocation
-// behaviour: decoding thousands of bursts into a reused trace must cost
-// O(strings + blocks) allocations, never O(bursts).
-func TestColbinDecodeIntoAllocs(t *testing.T) {
+// TestColbinDecodeAllocs pins the binary decoder's allocation behaviour:
+// decoding thousands of bursts must cost O(strings + blocks) allocations,
+// never O(bursts).
+func TestColbinDecodeAllocs(t *testing.T) {
 	tr := genTrace(7, true) // > 12k bursts across 4 blocks
 	data := EncodeColbin(tr)
-	var dst Trace
-	if err := DecodeColbinInto(data, &dst); err != nil {
-		t.Fatal(err)
-	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if err := DecodeColbinInto(data, &dst); err != nil {
+		if _, err := DecodeColbin(data); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// ~20 table strings, a handful of section slices, the bounded
-	// worker pool. 128 leaves slack without ever tolerating a
-	// per-burst allocation (that would be >12000).
+	// The burst slice, ~20 table strings, a handful of section slices,
+	// the bounded worker pool. 128 leaves slack without ever tolerating
+	// a per-burst allocation (that would be >12000).
 	if allocs > 128 {
-		t.Fatalf("DecodeColbinInto allocates %.0f times for %d bursts", allocs, len(tr.Bursts))
+		t.Fatalf("DecodeColbin allocates %.0f times for %d bursts", allocs, len(tr.Bursts))
 	}
 }
 
@@ -229,7 +209,9 @@ func TestColbinTruncationAtEveryByte(t *testing.T) {
 			t.Fatalf("strict decode accepted a file truncated at byte %d/%d", cut, len(data))
 		}
 		// Lenient must not panic and must either fail or flag the tear.
-		got, diag, err := DecodeColbinWith(data[:cut], DecodeOptions{})
+		// The colbin core is called directly: DecodeAny would route a
+		// prefix shorter than the magic to the text parser.
+		got, diag, err := decodeColbin(data[:cut], DecodeOptions{})
 		if err == nil && got != nil && !diag.Truncated && diag.Skipped() == 0 {
 			t.Fatalf("lenient decode of %d/%d-byte prefix reported a clean file", cut, len(data))
 		}
@@ -264,7 +246,7 @@ func TestColbinLenientQuarantinesBlocks(t *testing.T) {
 	// header sections: some block CRC breaks.
 	corrupt := append([]byte(nil), data...)
 	corrupt[len(corrupt)/2] ^= 0x40
-	got, diag, err := DecodeColbinWith(corrupt, DecodeOptions{})
+	got, diag, err := DecodeAny(corrupt, DecodeOptions{})
 	if err != nil {
 		t.Fatalf("lenient decode: %v", err)
 	}
@@ -318,66 +300,68 @@ func TestSplitColbin(t *testing.T) {
 	}
 }
 
-func TestColbinFlatMatchesBurstDecode(t *testing.T) {
-	for seed := uint64(1); seed <= 4; seed++ {
-		tr := genTrace(seed, seed == 2)
-		data := EncodeColbin(tr)
-		f, err := DecodeColbinFlat(data)
-		if err != nil {
+// TestReadFileAnySniffs checks DecodeFile is DecodeAny on the file's
+// bytes — same trace, same diagnostics, strict and lenient, text and
+// colbin — and that its errors name the file.
+func TestReadFileAnySniffs(t *testing.T) {
+	tr := genTrace(21, false)
+	var text bytes.Buffer
+	if err := Write(&text, tr); err != nil {
+		t.Fatal(err)
+	}
+	bin := EncodeColbin(tr)
+	// Corrupt variants: a malformed text record and a torn colbin tail
+	// decode leniently with diagnostics and fail strictly.
+	badText := append([]byte("B garbage\n"), text.Bytes()...)
+	tornBin := bin[:len(bin)-3]
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name string
+		data []byte
+		ok   bool // strict decode succeeds
+	}{
+		{"t.trace", text.Bytes(), true},
+		{"t.colbin", bin, true},
+		{"bad.trace", badText, false},
+		{"torn.colbin", tornBin, false},
+	} {
+		path := filepath.Join(dir, c.name)
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if !equalTraces(f.Trace(), tr) {
-			t.Fatalf("seed %d: Flat.Trace() mismatch", seed)
-		}
-		// PointsInto must agree bit-for-bit with the boxed path the
-		// pipeline uses today: metrics.SpaceInto over burst samples.
-		ms := []metrics.Metric{metrics.IPC, metrics.Instructions}
-		got := f.PointsInto(nil, ms)
-		want := make([]float64, len(tr.Bursts)*len(ms))
-		for i, b := range tr.Bursts {
-			metrics.SpaceInto(want[i*len(ms):(i+1)*len(ms)], ms, b.Sample())
-		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("seed %d: point %d differs: %v vs %v", seed, i, got[i], want[i])
+		for _, opts := range []DecodeOptions{{Strict: true}, {}} {
+			got, gotDiag, err := DecodeFile(path, opts)
+			want, wantDiag, wantErr := DecodeAny(c.data, opts)
+			if opts.Strict && (wantErr == nil) != c.ok {
+				t.Fatalf("%s: strict DecodeAny err = %v", c.name, wantErr)
+			}
+			if !opts.Strict && !c.ok && wantDiag.Summary() == "" {
+				t.Fatalf("%s: lenient DecodeAny reported a clean file", c.name)
+			}
+			if wantErr != nil {
+				if err == nil || err.Error() != path+": "+wantErr.Error() {
+					t.Fatalf("%s strict=%v: DecodeFile err = %v, want %q prefixed with the path", c.name, opts.Strict, err, wantErr)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s strict=%v: DecodeFile: %v", c.name, opts.Strict, err)
+			}
+			if !equalTraces(got, want) || !reflect.DeepEqual(gotDiag, wantDiag) {
+				t.Fatalf("%s strict=%v: DecodeFile differs from DecodeAny", c.name, opts.Strict)
 			}
 		}
 	}
-}
-
-func TestReadFileAnySniffs(t *testing.T) {
-	tr := genTrace(21, false)
-	dir := t.TempDir()
-	textPath := filepath.Join(dir, "t.trace")
-	binPath := filepath.Join(dir, "t.colbin")
-	if err := WriteFile(textPath, tr); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteColbinFile(binPath, tr); err != nil {
-		t.Fatal(err)
-	}
-	fromBin, err := ReadFileAny(binPath)
+	fromBin, _, err := DecodeFile(filepath.Join(dir, "t.colbin"), DecodeOptions{Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !equalTraces(fromBin, tr) {
-		t.Fatal("binary ReadFileAny mismatch")
+		t.Fatal("colbin DecodeFile mismatch")
 	}
-	fromText, err := ReadFileAny(textPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The text writer sorts and normalises (e.g. -0 prints as 0), so the
-	// reference is what the text reader itself produces.
-	want, err := ReadFile(textPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalTraces(fromText, want) {
-		t.Fatal("text ReadFileAny mismatch")
-	}
-	if _, err := ReadFileAny(filepath.Join(dir, "missing")); err == nil {
-		t.Fatal("ReadFileAny accepted a missing file")
+	missing := filepath.Join(dir, "missing")
+	if _, _, err := DecodeFile(missing, DecodeOptions{}); err == nil || !strings.Contains(err.Error(), missing) {
+		t.Fatalf("DecodeFile of a missing file: err = %v", err)
 	}
 }
 

@@ -1,10 +1,10 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"runtime"
@@ -53,72 +53,26 @@ var errNotColbin = fmt.Errorf("trace: not a colbin file (missing %q magic)", Col
 // DecodeColbin parses a binary columnar trace strictly: any corruption,
 // truncation or trailing garbage aborts the decode.
 func DecodeColbin(data []byte) (*Trace, error) {
-	t := &Trace{}
-	_, err := decodeColbin(data, DecodeOptions{Strict: true}, t)
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// DecodeColbinWith parses a binary columnar trace according to opts. In
-// lenient mode corrupt blocks are quarantined into the diagnostics (the
-// surviving bursts keep their order) and a torn tail reports Truncated;
-// header corruption still errors, since nothing can be recovered past it.
-func DecodeColbinWith(data []byte, opts DecodeOptions) (*Trace, DecodeDiagnostics, error) {
-	t := &Trace{}
-	diag, err := decodeColbin(data, opts, t)
-	if err != nil {
-		return nil, diag, err
-	}
-	return t, diag, nil
-}
-
-// DecodeColbinInto parses strictly, reusing t's burst slice capacity:
-// the repeat-read hot path (the convert cache, benchmark loops) pays no
-// per-burst allocation at all.
-func DecodeColbinInto(data []byte, t *Trace) error {
-	_, err := decodeColbin(data, DecodeOptions{Strict: true}, t)
-	return err
-}
-
-// ReadColbin parses a binary columnar trace from r strictly.
-func ReadColbin(r io.Reader) (*Trace, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeColbin(data)
-}
-
-// ReadColbinWith parses a binary columnar trace from r according to opts.
-func ReadColbinWith(r io.Reader, opts DecodeOptions) (*Trace, DecodeDiagnostics, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, DecodeDiagnostics{}, err
-	}
-	return DecodeColbinWith(data, opts)
-}
-
-// DecodeAny sniffs the payload format — colbin magic or perftrack text —
-// and decodes accordingly. It is the single entry point for callers that
-// accept either format (the service boundary, trackctl).
-func DecodeAny(data []byte, opts DecodeOptions) (*Trace, DecodeDiagnostics, error) {
-	if IsColbin(data) {
-		return DecodeColbinWith(data, opts)
-	}
-	return ReadWith(newBytesReader(data), opts)
-}
-
-// ReadFileAny reads the named trace file strictly, sniffing the format.
-func ReadFileAny(path string) (*Trace, error) {
-	t, _, err := ReadFileAnyWith(path, DecodeOptions{Strict: true})
+	t, _, err := decodeColbin(data, DecodeOptions{Strict: true})
 	return t, err
 }
 
-// ReadFileAnyWith reads the named trace file according to opts, sniffing
-// the format.
-func ReadFileAnyWith(path string, opts DecodeOptions) (*Trace, DecodeDiagnostics, error) {
+// DecodeAny sniffs the payload format — colbin magic or perftrack text —
+// and decodes it according to opts. It is the one bytes entry point for
+// callers that accept either format. For colbin, lenient mode quarantines
+// corrupt blocks into the diagnostics (the surviving bursts keep their
+// order) and reports a torn tail as Truncated; header corruption still
+// errors, since nothing can be recovered past it.
+func DecodeAny(data []byte, opts DecodeOptions) (*Trace, DecodeDiagnostics, error) {
+	if IsColbin(data) {
+		return decodeColbin(data, opts)
+	}
+	return ReadWith(bytes.NewReader(data), opts)
+}
+
+// DecodeFile reads the named trace file and decodes it like DecodeAny.
+// Decode errors are prefixed with the path.
+func DecodeFile(path string, opts DecodeOptions) (*Trace, DecodeDiagnostics, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, DecodeDiagnostics{}, err
@@ -168,29 +122,11 @@ func SplitColbin(data []byte) ([][]byte, error) {
 	return out, nil
 }
 
-// newBytesReader avoids importing bytes just for a reader.
-type bytesReader struct {
-	data []byte
-	off  int
-}
-
-func newBytesReader(data []byte) *bytesReader { return &bytesReader{data: data} }
-
-func (r *bytesReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.data[r.off:])
-	r.off += n
-	return n, nil
-}
-
-// decodeColbin is the shared strict/lenient decode core. It reuses t's
-// burst slice capacity when possible and fills t in place.
-func decodeColbin(data []byte, opts DecodeOptions, t *Trace) (DecodeDiagnostics, error) {
+// decodeColbin is the shared strict/lenient decode core.
+func decodeColbin(data []byte, opts DecodeOptions) (*Trace, DecodeDiagnostics, error) {
 	var diag DecodeDiagnostics
 	if !IsColbin(data) {
-		return diag, errNotColbin
+		return nil, diag, errNotColbin
 	}
 	quarantine := func(section int, err error) error {
 		if opts.Strict {
@@ -220,7 +156,7 @@ func decodeColbin(data []byte, opts DecodeOptions, t *Trace) (DecodeDiagnostics,
 		section++
 		if off+8 > len(data) {
 			if opts.Strict {
-				return diag, fmt.Errorf("trace: colbin section %d: torn section header", section)
+				return nil, diag, fmt.Errorf("trace: colbin section %d: torn section header", section)
 			}
 			diag.Truncated = true
 			break
@@ -231,7 +167,7 @@ func decodeColbin(data []byte, opts DecodeOptions, t *Trace) (DecodeDiagnostics,
 			// Framing is lost: without a trustworthy length there is no
 			// next section to resynchronise at.
 			if opts.Strict {
-				return diag, fmt.Errorf("trace: colbin section %d: implausible length %d", section, bodyLen)
+				return nil, diag, fmt.Errorf("trace: colbin section %d: implausible length %d", section, bodyLen)
 			}
 			diag.BadLines = append(diag.BadLines, BadLine{Line: section,
 				Reason: fmt.Sprintf("implausible section length %d; framing lost", bodyLen)})
@@ -240,7 +176,7 @@ func decodeColbin(data []byte, opts DecodeOptions, t *Trace) (DecodeDiagnostics,
 		}
 		if off+8+bodyLen > len(data) {
 			if opts.Strict {
-				return diag, fmt.Errorf("trace: colbin section %d: torn section body", section)
+				return nil, diag, fmt.Errorf("trace: colbin section %d: torn section body", section)
 			}
 			diag.Truncated = true
 			break
@@ -256,56 +192,56 @@ func decodeColbin(data []byte, opts DecodeOptions, t *Trace) (DecodeDiagnostics,
 			if crc32.Checksum(frame, colbinCRC) != wantCRC {
 				if kind == sectionEnd {
 					if err := quarantine(section, fmt.Errorf("end marker crc mismatch")); err != nil {
-						return diag, err
+						return nil, diag, err
 					}
 					diag.Truncated = true
 					sawEnd = true // framing consumed it; stop here
 					continue
 				}
-				return diag, fmt.Errorf("trace: colbin section %d: header section crc mismatch", section)
+				return nil, diag, fmt.Errorf("trace: colbin section %d: header section crc mismatch", section)
 			}
 			switch kind {
 			case sectionMeta:
 				if meta != nil {
-					return diag, fmt.Errorf("trace: colbin section %d: duplicate metadata section", section)
+					return nil, diag, fmt.Errorf("trace: colbin section %d: duplicate metadata section", section)
 				}
 				m, err := parseColMeta(payload)
 				if err != nil {
-					return diag, fmt.Errorf("trace: colbin section %d: %w", section, err)
+					return nil, diag, fmt.Errorf("trace: colbin section %d: %w", section, err)
 				}
 				meta = m
 			case sectionStrtab:
 				if meta == nil {
-					return diag, fmt.Errorf("trace: colbin section %d: string table before metadata", section)
+					return nil, diag, fmt.Errorf("trace: colbin section %d: string table before metadata", section)
 				}
 				if strtab != nil {
-					return diag, fmt.Errorf("trace: colbin section %d: duplicate string table", section)
+					return nil, diag, fmt.Errorf("trace: colbin section %d: duplicate string table", section)
 				}
 				st, err := parseColStrtab(payload)
 				if err != nil {
-					return diag, fmt.Errorf("trace: colbin section %d: %w", section, err)
+					return nil, diag, fmt.Errorf("trace: colbin section %d: %w", section, err)
 				}
 				strtab = st
 			case sectionEnd:
 				n, k := binary.Uvarint(payload)
 				if k <= 0 {
-					return diag, fmt.Errorf("trace: colbin section %d: malformed end marker", section)
+					return nil, diag, fmt.Errorf("trace: colbin section %d: malformed end marker", section)
 				}
 				if opts.Strict && n != uint64(total) {
-					return diag, fmt.Errorf("trace: colbin section %d: end marker counts %d bursts, blocks carry %d", section, n, total)
+					return nil, diag, fmt.Errorf("trace: colbin section %d: end marker counts %d bursts, blocks carry %d", section, n, total)
 				}
 				sawEnd = true
 			}
 		case sectionBlock:
 			if meta == nil || strtab == nil {
-				return diag, fmt.Errorf("trace: colbin section %d: burst block before metadata/string table", section)
+				return nil, diag, fmt.Errorf("trace: colbin section %d: burst block before metadata/string table", section)
 			}
 			// The count sizes the output before the block's CRC is
 			// checked (in the parallel phase), so bound it first.
 			n, k := binary.Uvarint(payload)
 			if k <= 0 || !plausibleBlockCount(n, len(payload), len(meta.order), total) {
 				if err := quarantine(section, fmt.Errorf("implausible block burst count")); err != nil {
-					return diag, err
+					return nil, diag, err
 				}
 				continue
 			}
@@ -318,36 +254,35 @@ func decodeColbin(data []byte, opts DecodeOptions, t *Trace) (DecodeDiagnostics,
 			// Unknown section kind: strict rejects (version skew is a
 			// format error, not forward compatibility), lenient skips.
 			if err := quarantine(section, fmt.Errorf("unknown section kind %q", kind)); err != nil {
-				return diag, err
+				return nil, diag, err
 			}
 		}
 	}
 	if meta == nil {
-		return diag, fmt.Errorf("trace: colbin file has no metadata section")
+		return nil, diag, fmt.Errorf("trace: colbin file has no metadata section")
 	}
 	if strtab == nil && total > 0 {
-		return diag, fmt.Errorf("trace: colbin file has burst blocks but no string table")
+		return nil, diag, fmt.Errorf("trace: colbin file has burst blocks but no string table")
 	}
 	if !sawEnd {
 		if opts.Strict {
-			return diag, fmt.Errorf("trace: colbin file is torn: missing end marker")
+			return nil, diag, fmt.Errorf("trace: colbin file is torn: missing end marker")
 		}
 		diag.Truncated = true
 	}
 	if sawEnd && off < len(data) {
 		if opts.Strict {
-			return diag, fmt.Errorf("trace: %d trailing bytes after colbin end marker", len(data)-off)
+			return nil, diag, fmt.Errorf("trace: %d trailing bytes after colbin end marker", len(data)-off)
 		}
 		diag.BadLines = append(diag.BadLines, BadLine{Line: section + 1,
 			Reason: fmt.Sprintf("%d trailing bytes after end marker", len(data)-off)})
 	}
 	if opts.Strict && total != meta.total {
-		return diag, fmt.Errorf("trace: colbin metadata counts %d bursts, blocks carry %d", meta.total, total)
+		return nil, diag, fmt.Errorf("trace: colbin metadata counts %d bursts, blocks carry %d", meta.total, total)
 	}
 
 	// Pass 2: decode blocks in parallel into one contiguous burst slice.
-	t.Meta = meta.meta
-	t.Bursts = growBursts(t.Bursts, total)
+	t := &Trace{Meta: meta.meta, Bursts: make([]Burst, total)}
 	bad := runColBlocks(len(blocks), func(i int) error {
 		b := blocks[i]
 		if crc32.Checksum(b.frame, colbinCRC) != b.crc {
@@ -360,7 +295,7 @@ func decodeColbin(data []byte, opts DecodeOptions, t *Trace) (DecodeDiagnostics,
 	for i, b := range blocks {
 		if bad[i] != nil {
 			if err := quarantine(b.section, fmt.Errorf("%v (%d bursts quarantined)", bad[i], b.n)); err != nil {
-				return diag, err
+				return nil, diag, err
 			}
 			continue
 		}
@@ -370,19 +305,7 @@ func decodeColbin(data []byte, opts DecodeOptions, t *Trace) (DecodeDiagnostics,
 		w += b.n
 	}
 	t.Bursts = t.Bursts[:w]
-	return diag, nil
-}
-
-// growBursts resizes dst to n, reusing capacity.
-func growBursts(dst []Burst, n int) []Burst {
-	if cap(dst) >= n {
-		dst = dst[:n]
-		for i := range dst {
-			dst[i] = Burst{}
-		}
-		return dst
-	}
-	return make([]Burst, n)
+	return t, diag, nil
 }
 
 // parseColMeta decodes the 'M' payload.

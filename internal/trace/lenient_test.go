@@ -65,7 +65,7 @@ func TestLenientQuarantinesBadLines(t *testing.T) {
 
 func TestStrictErrorNamesLineAndField(t *testing.T) {
 	enc := injectBadLines(encodeSample(t), "B 0 0 12 oops f f.c 1 0 1 2 3 4 5 6")
-	_, err := Read(strings.NewReader(enc))
+	_, err := readStrict(strings.NewReader(enc))
 	if err == nil {
 		t.Fatal("strict decode accepted a malformed duration")
 	}
@@ -100,7 +100,7 @@ func TestMaxBadLines(t *testing.T) {
 func TestMissingHeader(t *testing.T) {
 	enc := encodeSample(t)
 	noMagic := strings.Join(strings.Split(enc, "\n")[1:], "\n")
-	if _, err := Read(strings.NewReader(noMagic)); err == nil {
+	if _, err := readStrict(strings.NewReader(noMagic)); err == nil {
 		t.Error("strict decode accepted a header-less trace")
 	}
 	tr, diag, err := ReadWith(strings.NewReader(noMagic), DecodeOptions{})

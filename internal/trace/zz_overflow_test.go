@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -52,7 +53,7 @@ func craft(metaTotalZero bool) []byte {
 }
 
 func TestOverflowLenient(t *testing.T) {
-	tt, diag, err := DecodeColbinWith(craft(false), DecodeOptions{Strict: false})
+	tt, diag, err := DecodeAny(craft(false), DecodeOptions{Strict: false})
 	if err != nil {
 		t.Fatalf("lenient decode of a crafted block count failed: %v", err)
 	}
@@ -70,12 +71,9 @@ func TestOverflowLenient(t *testing.T) {
 }
 
 func TestOverflowStrictPatchedMeta(t *testing.T) {
-	tt, _, err := DecodeColbinWith(craft(true), DecodeOptions{Strict: true})
+	tt, err := DecodeColbin(craft(true))
 	if err == nil || !strings.Contains(err.Error(), "implausible block burst count") {
 		t.Fatalf("strict decode = (%v, %v), want the implausible block count rejected", tt != nil, err)
-	}
-	if _, err := DecodeColbinFlat(craft(true)); err == nil {
-		t.Fatal("flat decode accepted a crafted block count")
 	}
 }
 
@@ -98,35 +96,64 @@ func TestRunColBlocksRecoversPanics(t *testing.T) {
 }
 
 // FuzzColbinDecode mutates raw bytes around the golden layout and the
-// crafted block counts, and drives every colbin decode entry point with
+// crafted block counts, and drives the colbin decode entry points with
 // them. Whatever the input, no decoder may panic; an input the strict
-// decoder accepts must decode identically in lenient mode, into a reused
-// trace and through the format sniffer, and must round-trip.
+// decoder accepts must decode identically through the format sniffer,
+// strict and lenient, and must round-trip.
 func FuzzColbinDecode(f *testing.F) {
 	f.Add(goldenColbin())
 	f.Add(craft(false))
 	f.Add(craft(true))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		strict, serr := DecodeColbin(data)
-		lenient, diag, lerr := DecodeColbinWith(data, DecodeOptions{})
-		_, _ = DecodeColbinFlat(data)
-		var into Trace
-		ierr := DecodeColbinInto(data, &into)
+		anyStrict, _, aerr := DecodeAny(data, DecodeOptions{Strict: true})
+		lenient, diag, lerr := DecodeAny(data, DecodeOptions{})
 		if serr != nil {
+			if IsColbin(data) && aerr == nil {
+				t.Fatalf("strict DecodeAny accepted colbin that DecodeColbin rejects: %v", serr)
+			}
 			return
+		}
+		if aerr != nil {
+			t.Fatalf("strict DecodeAny rejected a strictly valid input: %v", aerr)
 		}
 		if lerr != nil || diag.Skipped() != 0 || diag.Truncated {
 			t.Fatalf("lenient decode of a strictly valid input: err=%v diag=%+v", lerr, diag)
 		}
-		if ierr != nil {
-			t.Fatalf("DecodeColbinInto rejected a strictly valid input: %v", ierr)
-		}
-		if !equalTraces(lenient, strict) || !equalTraces(&into, strict) {
+		if !equalTraces(anyStrict, strict) || !equalTraces(lenient, strict) {
 			t.Fatal("decode entry points disagree on a strictly valid input")
 		}
 		back, err := DecodeColbin(EncodeColbin(strict))
 		if err != nil || !equalTraces(back, strict) {
 			t.Fatalf("accepted input does not round-trip: %v", err)
+		}
+	})
+}
+
+// FuzzSplitColbin drives the multi-trace body splitter with raw bytes.
+// It must never panic, and whatever it accepts must be a lossless cut:
+// the parts concatenate back to the input and each starts with the magic.
+func FuzzSplitColbin(f *testing.F) {
+	golden := goldenColbin()
+	f.Add(golden)
+	f.Add(append(append([]byte{}, golden...), craft(false)...))
+	f.Add(append(append([]byte{}, golden...), golden[:len(golden)-3]...))
+	f.Add([]byte("#PERFTRACK 1\n"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		parts, err := SplitColbin(data)
+		if err != nil {
+			return
+		}
+		var joined []byte
+		for i, p := range parts {
+			if !IsColbin(p) {
+				t.Fatalf("part %d does not start with the colbin magic", i)
+			}
+			joined = append(joined, p...)
+		}
+		if !bytes.Equal(joined, data) {
+			t.Fatalf("%d parts concatenate to %d bytes, input has %d", len(parts), len(joined), len(data))
 		}
 	})
 }

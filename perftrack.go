@@ -180,15 +180,22 @@ func WriteResultJSON(w io.Writer, res *Result, ms []Metric) error {
 	return res.WriteJSON(w, ms)
 }
 
-// ReadTraceFile and WriteTraceFile expose the text trace codec.
-func ReadTraceFile(path string) (*Trace, error)  { return trace.ReadFile(path) }
+// ReadTraceFile strictly decodes a trace file in either format, text or
+// binary columnar (colbin).
+func ReadTraceFile(path string) (*Trace, error) {
+	t, _, err := trace.DecodeFile(path, trace.DecodeOptions{Strict: true})
+	return t, err
+}
+
+// WriteTraceFile writes the trace in the text format.
 func WriteTraceFile(path string, t *Trace) error { return trace.WriteFile(path, t) }
 
-// ReadTraceFileLenient decodes a trace file tolerating malformed burst
-// lines: instead of failing, each bad line is quarantined and reported in
-// the returned diagnostics. Use it to salvage partially corrupt traces.
+// ReadTraceFileLenient decodes a text or colbin trace file tolerating
+// corruption: instead of failing, each malformed text line or corrupt
+// colbin block is quarantined and reported in the returned diagnostics.
+// Use it to salvage partially corrupt traces.
 func ReadTraceFileLenient(path string) (*Trace, DecodeDiagnostics, error) {
-	return trace.ReadFileWith(path, trace.DecodeOptions{Strict: false})
+	return trace.DecodeFile(path, trace.DecodeOptions{Strict: false})
 }
 
 func DefaultMetrics() []Metric                            { return metrics.DefaultSpace() }

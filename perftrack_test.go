@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"perftrack/internal/machine"
@@ -109,6 +110,22 @@ func TestFacadeTraceFileRoundTrip(t *testing.T) {
 	}
 	if len(back.Bursts) != len(traces[0].Bursts) {
 		t.Errorf("round trip lost bursts: %d vs %d", len(back.Bursts), len(traces[0].Bursts))
+	}
+	// Both readers take colbin files too, decoding to the same trace.
+	binPath := filepath.Join(t.TempDir(), "demo.colbin")
+	if err := trace.WriteColbinFile(binPath, back); err != nil {
+		t.Fatal(err)
+	}
+	fromBin, err := ReadTraceFile(binPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lenient, diag, err := ReadTraceFileLenient(binPath)
+	if err != nil || diag.Summary() != "" {
+		t.Fatalf("lenient colbin read: %v %q", err, diag.Summary())
+	}
+	if !reflect.DeepEqual(fromBin, back) || !reflect.DeepEqual(lenient, back) {
+		t.Error("colbin trace file reads back differently from the text one")
 	}
 }
 
