@@ -84,7 +84,9 @@ chaos:
 # to shake the seeded corpus and mutate around it on every check run.
 # Every trace decoder reachable from the network is fuzzed from raw
 # bytes here: the text parser (strict and lenient, POST /v1/jobs and
-# stream appends), the colbin decoder and the multi-trace body splitter.
+# stream appends), the colbin decoder, the multi-trace body splitter,
+# the mesh replication importer, and store segments and journal
+# generations as found on disk at open.
 fuzz-short:
 	$(GO) test -run=^$$ -fuzz=FuzzDBSCANDifferential -fuzztime=5s ./internal/cluster/
 	$(GO) test -run=^$$ -fuzz=FuzzNNDifferential -fuzztime=5s ./internal/cluster/
@@ -97,6 +99,8 @@ fuzz-short:
 	$(GO) test -run=^$$ -fuzz=FuzzSplitColbin -fuzztime=5s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzRead$$ -fuzztime=5s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzLenientRead -fuzztime=5s ./internal/trace/
+	$(GO) test -run=^$$ -fuzz=FuzzImportFrames -fuzztime=5s ./internal/store/
+	$(GO) test -run=^$$ -fuzz=FuzzLogOpen -fuzztime=5s ./internal/store/
 
 # trackeval runs the tracking-quality gate: the pinned planted-truth
 # scenario corpus (all seeds, all families, fault-degraded frames) plus

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math/rand/v2"
@@ -10,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -358,7 +360,7 @@ func (c *clusterSim) verifyAll() {
 		if p := c.srvs[ni].Journal().Stats().Pending; p != 0 {
 			c.fail("job journal on %s holds %d intents at quiescence", c.ids[ni], p)
 		}
-		if p := c.srvs[ni].MeshJournal().Stats().Pending; p != 0 {
+		if p := c.srvs[ni].meshJournal.Stats().Pending; p != 0 {
 			c.fail("mesh journal on %s holds %d unpaid debts after rebalance", c.ids[ni], p)
 		}
 	}
@@ -764,7 +766,7 @@ func TestClusterReplayRacesRebalance(t *testing.T) {
 		if _, state, msg := srvB.Result(jB); state != StateDone {
 			t.Fatalf("round %d: B job state %s: %s", round, state, msg)
 		}
-		if p := srvB.MeshJournal().Stats().Pending; p == 0 {
+		if p := srvB.meshJournal.Stats().Pending; p == 0 {
 			t.Fatalf("round %d: expected hand-off debt on B after push to dead A", round)
 		}
 
@@ -811,7 +813,7 @@ func TestClusterReplayRacesRebalance(t *testing.T) {
 		if p := srvA2.Journal().Stats().Pending; p != 0 {
 			t.Fatalf("round %d: %d intents stranded on A after replay", round, p)
 		}
-		if p := srvB.MeshJournal().Stats().Pending; p != 0 {
+		if p := srvB.meshJournal.Stats().Pending; p != 0 {
 			t.Fatalf("round %d: %d hand-off debts unpaid on B after rebalance", round, p)
 		}
 		if _, held := srvA2.Store().GetMeta(key); !held {
@@ -974,5 +976,38 @@ func TestClusterSeriesScatter(t *testing.T) {
 		if len(tr.Runs) != 3 {
 			t.Fatalf("node %s chains %d runs cluster-wide, want 3", ids[ni], len(tr.Runs))
 		}
+	}
+}
+
+// TestMeshReplicateHugeHeader: an 8-byte replication body whose frame
+// header claims a 1 GiB record answers 400 and costs memory in
+// proportion to the bytes that arrived, not to the length it claims.
+func TestMeshReplicateHugeHeader(t *testing.T) {
+	srv, err := New(Config{
+		Workers:  1,
+		StoreDir: t.TempDir(),
+		Mesh: mesh.Config{
+			NodeID:    "na",
+			Peers:     []mesh.Peer{{ID: "na", URL: "http://na.mesh"}, {ID: "nb", URL: "http://nb.mesh"}},
+			Transport: newClusterNet(),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	body := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, 1<<30), 0)
+	req := httptest.NewRequest(http.MethodPost, "/v1/mesh/replicate", bytes.NewReader(body))
+	req.Header.Set("X-Mesh-From", "nb")
+	rw := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	srv.Handler().ServeHTTP(rw, req)
+	runtime.ReadMemStats(&after)
+	if rw.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", rw.Code, rw.Body)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("8-byte body allocated %d bytes", got)
 	}
 }

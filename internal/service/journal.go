@@ -11,6 +11,7 @@ package service
 
 import (
 	"encoding/json"
+	"path/filepath"
 	"time"
 
 	"perftrack/internal/store"
@@ -29,12 +30,7 @@ func (s *Server) openJournal() error {
 		replayed: r.NewCounter("trackd_journal_replayed_total", "Pending journal intents processed at startup (re-executed or deduplicated against the store)."),
 		fsync:    r.NewHistogram("trackd_journal_fsync_seconds", "Latency of journal fsyncs.", nil),
 	}
-	j, err := store.OpenJournal(s.cfg.StoreDir, store.JournalOptions{
-		SyncEvery:    s.cfg.JournalSyncEvery,
-		CompactEvery: s.cfg.JournalCompactEvery,
-		OnFsync:      func(d time.Duration) { s.jm.fsync.Observe(d.Seconds()) },
-		FS:           s.cfg.StoreFS,
-	})
+	j, err := s.openJournalIn("", func(d time.Duration) { s.jm.fsync.Observe(d.Seconds()) })
 	if err != nil {
 		return err
 	}
@@ -49,6 +45,19 @@ func (s *Server) openJournal() error {
 	r.NewGaugeFunc("trackd_journal_compactions", "Cumulative journal compactions since open.", func() int64 { return int64(j.Stats().Compactions) })
 	r.NewGaugeFunc("trackd_journal_truncations", "Torn bytes truncated off journal generations at open.", func() int64 { return j.Stats().TornTruncated })
 	return nil
+}
+
+// openJournalIn opens a journal in the store subdirectory sub (""
+// for the store directory itself) with the configured sync and
+// compaction cadence on the store's filesystem. The job, stream and
+// mesh hand-off journals all open through here.
+func (s *Server) openJournalIn(sub string, onFsync func(time.Duration)) (*store.Journal, error) {
+	return store.OpenJournal(filepath.Join(s.cfg.StoreDir, sub), store.JournalOptions{
+		SyncEvery:    s.cfg.JournalSyncEvery,
+		CompactEvery: s.cfg.JournalCompactEvery,
+		OnFsync:      onFsync,
+		FS:           s.cfg.StoreFS,
+	})
 }
 
 // Journal exposes the job journal (nil when disabled). Tests and the

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"path/filepath"
 	"sort"
 	"time"
 
@@ -60,11 +59,7 @@ func (s *Server) openMesh() error {
 	if err != nil {
 		return err
 	}
-	mj, err := store.OpenJournal(filepath.Join(s.cfg.StoreDir, "mesh"), store.JournalOptions{
-		SyncEvery:    s.cfg.JournalSyncEvery,
-		CompactEvery: s.cfg.JournalCompactEvery,
-		FS:           s.cfg.StoreFS,
-	})
+	mj, err := s.openJournalIn("mesh", nil)
 	if err != nil {
 		return err
 	}
@@ -92,10 +87,6 @@ func (s *Server) openMesh() error {
 
 // Mesh exposes the cluster node (nil when clustering is disabled).
 func (s *Server) Mesh() *mesh.Node { return s.mesh }
-
-// MeshJournal exposes the hand-off journal (nil when disabled); the
-// cluster simulation inspects replication debt through it.
-func (s *Server) MeshJournal() *store.Journal { return s.meshJournal }
 
 func viaMesh(r *http.Request) bool { return r.Header.Get("X-Mesh-From") != "" }
 

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -346,11 +345,7 @@ func (s *Server) openStreams() error {
 	if s.cfg.StoreDir == "" {
 		return nil
 	}
-	j, err := store.OpenJournal(filepath.Join(s.cfg.StoreDir, "streams"), store.JournalOptions{
-		SyncEvery:    s.cfg.JournalSyncEvery,
-		CompactEvery: s.cfg.JournalCompactEvery,
-		FS:           s.cfg.StoreFS,
-	})
+	j, err := s.openJournalIn("streams", nil)
 	if err != nil {
 		return err
 	}

@@ -8,11 +8,13 @@ package store
 // intents, consulting the store first so nothing already persisted is
 // recomputed.
 //
-// The on-disk discipline is the segment discipline of the store itself:
-// CRC-framed records (record.go), sequential scan, torn-tail truncation.
-// Entries reuse the Record frame with the Series field carrying the
-// entry type ("intent"/"done"/"fail"), Label carrying a fail's error
-// message, and Payload carrying the serialized job request.
+// The on-disk discipline is the segment log the store itself runs on
+// (log.go): CRC-framed records (record.go), sequential scan, torn-tail
+// truncation, heal-on-failed-append. The journal adds only its pending
+// map and the intent/resolve/compaction policy on top. Entries reuse the
+// Record frame with the Series field carrying the entry type
+// ("intent"/"done"/"fail"), Label carrying a fail's error message, and
+// Payload carrying the serialized job request.
 //
 // Instead of one growing file, the journal keeps *generation* files
 // (journal-NNNNNN.wal). Compaction never renames or rewrites in place —
@@ -30,11 +32,7 @@ package store
 
 import (
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -42,14 +40,10 @@ import (
 )
 
 const (
-	genPrefix, genSuffix = "journal-", ".wal"
-
 	entryIntent = "intent"
 	entryDone   = "done"
 	entryFail   = "fail"
 )
-
-func genName(id int) string { return fmt.Sprintf("%s%06d%s", genPrefix, id, genSuffix) }
 
 // JournalOptions parametrises OpenJournal.
 type JournalOptions struct {
@@ -120,21 +114,15 @@ type JournalStats struct {
 
 // Journal is an open job journal. Safe for concurrent use.
 type Journal struct {
-	dir  string
 	opts JournalOptions
 
-	mu        sync.Mutex
-	active    faults.File
-	activeGen int
-	bytes     int64 // size of the active generation
-	synced    int64 // durable prefix of the active generation
-	dirty     int   // unsynced resolutions
-	seq       uint64
-	pending   map[string]PendingIntent
-	resolved  int // resolutions since the last compaction
-	genCount  int // on-disk generation files (tracked, not re-listed)
-	stats     JournalStats
-	closed    bool
+	mu       sync.Mutex
+	log      *segLog
+	seq      uint64
+	pending  map[string]PendingIntent
+	resolved int // resolutions since the last compaction
+	stats    JournalStats
+	closed   bool
 
 	// statsMu guards statsSnap, the read-side copy of the journal state.
 	// j.mu is held across fsyncs, so Stats readers (metrics scrapes,
@@ -149,10 +137,14 @@ type Journal struct {
 func (j *Journal) publishLocked() {
 	st := j.stats
 	st.Pending = len(j.pending)
-	st.ActiveGen = j.activeGen
-	st.Bytes = j.bytes
-	st.SyncedBytes = j.synced
-	st.Generations = j.genCount
+	st.ActiveGen = j.log.activeID
+	st.Bytes = j.log.size()
+	st.SyncedBytes = j.log.synced
+	st.Generations = len(j.log.sizes)
+	st.Fsyncs = j.log.fsyncs
+	st.WriteHeals = j.log.heals
+	st.TornTruncated = j.log.torn
+	st.CorruptDropped = j.log.corrupt
 	j.statsMu.Lock()
 	j.statsSnap = st
 	j.statsMu.Unlock()
@@ -163,108 +155,29 @@ func (j *Journal) publishLocked() {
 // set, and compacts multi-generation state down to one fresh file.
 func OpenJournal(dir string, opts JournalOptions) (*Journal, error) {
 	opts = opts.withDefaults()
-	if err := opts.FS.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("journal: creating %s: %w", dir, err)
-	}
-	j := &Journal{dir: dir, opts: opts, activeGen: -1, pending: map[string]PendingIntent{}}
-	gens, err := listGenerations(opts.FS, dir)
+	j := &Journal{opts: opts, pending: map[string]PendingIntent{}}
+	l, err := openLog(opts.FS, dir, "journal-", ".wal", opts.OnFsync, j.applyEntry)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("journal: %w", err)
 	}
-	for i, id := range gens {
-		if err := j.scanGeneration(id, i == len(gens)-1); err != nil {
-			return nil, err
-		}
-	}
-	if len(gens) > 0 {
-		j.activeGen = gens[len(gens)-1]
-	}
-	j.genCount = len(gens)
+	j.log = l
 	// Collapse history into a single fresh generation: replay then needs
 	// to look at exactly one file, and stale resolutions stop occupying
 	// disk. Skipped only when there is nothing to collapse.
-	if len(gens) > 1 || (len(gens) == 1 && j.bytes > 0) {
-		if err := j.compactLocked(); err != nil {
-			return nil, err
-		}
-		j.publishLocked()
-		return j, nil
+	if len(l.sizes) > 1 || l.size() > 0 {
+		err = j.compactLocked()
+	} else if err = l.openActive(); err != nil {
+		err = fmt.Errorf("journal: %w", err)
 	}
-	if err := j.openActiveLocked(); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	j.genCount = 1 // openActiveLocked created generation 0 if none existed
 	j.publishLocked()
 	return j, nil
 }
 
-// listGenerations returns generation ids present in dir, ascending.
-func listGenerations(fsys faults.FS, dir string) ([]int, error) {
-	ents, err := fsys.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("journal: reading %s: %w", dir, err)
-	}
-	var ids []int
-	for _, de := range ents {
-		name := de.Name()
-		if !strings.HasPrefix(name, genPrefix) || !strings.HasSuffix(name, genSuffix) {
-			continue
-		}
-		var id int
-		if _, err := fmt.Sscanf(name, genPrefix+"%d"+genSuffix, &id); err != nil {
-			continue
-		}
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids, nil
-}
-
-// scanGeneration folds one generation's entries into the pending set.
-// The newest generation's torn tail is truncated away; older
-// generations stop scanning at the first bad record.
-func (j *Journal) scanGeneration(id int, newest bool) error {
-	path := filepath.Join(j.dir, genName(id))
-	f, err := j.opts.FS.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		return fmt.Errorf("journal: opening %s: %w", path, err)
-	}
-	var off int64
-	for {
-		rec, seq, n, err := readRecord(f)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			fi, statErr := f.Stat()
-			if statErr != nil {
-				f.Close()
-				return statErr
-			}
-			if newest {
-				f.Close()
-				if truncErr := j.opts.FS.Truncate(path, off); truncErr != nil {
-					return fmt.Errorf("journal: truncating torn tail of %s: %w", path, truncErr)
-				}
-				j.stats.TornTruncated += fi.Size() - off
-				j.bytes, j.synced = off, off
-				return nil
-			}
-			j.stats.CorruptDropped++
-			break
-		}
-		j.applyEntry(rec, seq)
-		off += n
-	}
-	f.Close()
-	if newest {
-		j.bytes, j.synced = off, off
-	}
-	return nil
-}
-
 // applyEntry folds one scanned entry into the pending set.
-func (j *Journal) applyEntry(rec Record, seq uint64) {
+func (j *Journal) applyEntry(rec Record, seq uint64, _ entry) {
 	if seq > j.seq {
 		j.seq = seq
 	}
@@ -283,75 +196,22 @@ func (j *Journal) applyEntry(rec Record, seq uint64) {
 	}
 }
 
-// openActiveLocked opens (or creates) the append generation.
-func (j *Journal) openActiveLocked() error {
-	if j.activeGen < 0 {
-		j.activeGen = 0
-	}
-	path := filepath.Join(j.dir, genName(j.activeGen))
-	f, err := j.opts.FS.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: opening generation: %w", err)
-	}
-	j.active = f
-	return nil
-}
-
-// appendLocked frames and writes one entry, healing the generation on a
-// failed write exactly like the store heals its segment.
+// appendLocked frames and writes one entry; the log heals the generation
+// on a failed write.
 func (j *Journal) appendLocked(typ, key, label string, payload []byte) error {
-	if j.active == nil {
-		if err := j.openActiveLocked(); err != nil {
-			return err
-		}
-	}
 	j.seq++
 	rec := Record{Key: key, Series: typ, Label: label, UnixNano: j.opts.Now().UnixNano(), Payload: payload}
-	buf := encodeRecord(nil, rec, j.seq)
-	if _, err := j.active.Write(buf); err != nil {
-		j.healLocked()
+	if _, _, err := j.log.append(encodeRecord(nil, rec, j.seq)); err != nil {
 		return fmt.Errorf("journal: appending %s: %w", typ, err)
 	}
-	j.bytes += int64(len(buf))
 	j.stats.Appends++
 	return nil
 }
 
-// healLocked recovers the active generation after a failed write:
-// truncate back to the intact prefix, or — if even that fails — seal it
-// and start a new generation.
-func (j *Journal) healLocked() {
-	path := filepath.Join(j.dir, genName(j.activeGen))
-	if err := j.opts.FS.Truncate(path, j.bytes); err == nil {
-		j.stats.WriteHeals++
-		return
-	}
-	j.active.Sync()
-	j.active.Close()
-	j.stats.WriteHeals++
-	j.activeGen++
-	j.genCount++
-	j.bytes, j.synced, j.dirty = 0, 0, 0
-	j.active = nil
-	if err := j.openActiveLocked(); err != nil {
-		j.active = nil // next append retries
-	}
-}
-
 // syncLocked fsyncs the active generation and advances the durable mark.
 func (j *Journal) syncLocked() error {
-	if j.active == nil {
-		return nil
-	}
-	t0 := time.Now()
-	if err := j.active.Sync(); err != nil {
-		return fmt.Errorf("journal: fsync: %w", err)
-	}
-	j.stats.Fsyncs++
-	j.synced = j.bytes
-	j.dirty = 0
-	if j.opts.OnFsync != nil {
-		j.opts.OnFsync(time.Since(t0))
+	if err := j.log.sync(); err != nil {
+		return fmt.Errorf("journal: %w", err)
 	}
 	return nil
 }
@@ -410,8 +270,7 @@ func (j *Journal) resolveLocked(key, errMsg string, ok bool) error {
 	}
 	delete(j.pending, key)
 	j.resolved++
-	j.dirty++
-	if j.dirty >= j.opts.SyncEvery {
+	if j.log.dirty >= j.opts.SyncEvery {
 		if err := j.syncLocked(); err != nil {
 			return err
 		}
@@ -426,81 +285,18 @@ func (j *Journal) resolveLocked(key, errMsg string, ok bool) error {
 // generation, fsyncs it, then deletes every older generation. A crash
 // at any point leaves a recoverable union.
 func (j *Journal) compactLocked() error {
-	newGen := j.activeGen + 1
-	path := filepath.Join(j.dir, genName(newGen))
-	f, err := j.opts.FS.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: compact: %w", err)
-	}
-	live := make([]PendingIntent, 0, len(j.pending))
-	for _, p := range j.pending {
-		live = append(live, p)
-	}
-	sort.Slice(live, func(a, b int) bool { return live[a].Seq < live[b].Seq })
-	var written int64
-	for _, p := range live {
-		buf := encodeRecord(nil, Record{
+	live := j.sortedPending()
+	frames := make([][]byte, len(live))
+	for i, p := range live {
+		frames[i] = encodeRecord(nil, Record{
 			Key: p.Key, Series: entryIntent, UnixNano: p.UnixNano, Payload: p.Payload,
 		}, p.Seq)
-		if _, err := f.Write(buf); err != nil {
-			// Abort: drop the half-written new generation, keep appending
-			// to the old one. Recovery ignores a torn newest generation's
-			// tail, so even a leftover file here is safe.
-			f.Close()
-			j.opts.FS.Remove(path)
-			return fmt.Errorf("journal: compact: %w", err)
-		}
-		written += int64(len(buf))
 	}
-	t0 := time.Now()
-	if err := f.Sync(); err != nil {
-		f.Close()
-		j.opts.FS.Remove(path)
-		return fmt.Errorf("journal: compact fsync: %w", err)
+	if err := j.log.rewrite(frames); err != nil {
+		return fmt.Errorf("journal: compact: %w", err)
 	}
-	j.stats.Fsyncs++
-	if j.opts.OnFsync != nil {
-		j.opts.OnFsync(time.Since(t0))
-	}
-
-	// The new generation is durable: adopt it, then clear out history.
-	// The append handle must be an O_APPEND reopen, not the O_TRUNC
-	// handle used to write it: healLocked recovers a failed partial
-	// append by truncating the file back to j.bytes, and a non-append
-	// handle's offset would stay past the new end — the next write would
-	// then punch a zero-filled hole that recovery reads as the end of
-	// the journal, silently dropping every record after it.
-	f.Close()
-	if j.active != nil {
-		j.active.Close()
-	}
-	j.active = nil
-	oldActive := j.activeGen
-	j.activeGen = newGen
-	j.bytes, j.synced = written, written
-	j.dirty, j.resolved = 0, 0
+	j.resolved = 0
 	j.stats.Compactions++
-	// The compacted generation is durable on disk whether or not the
-	// reopen succeeds; on failure the next append retries the open
-	// (appendLocked tolerates a nil handle).
-	_ = j.openActiveLocked()
-	remaining := 1 // the new generation
-	gens, err := listGenerations(j.opts.FS, j.dir)
-	if err == nil {
-		for _, id := range gens {
-			switch {
-			case id == newGen:
-			case id > newGen:
-				remaining++
-			case j.opts.FS.Remove(filepath.Join(j.dir, genName(id))) != nil:
-				remaining++ // deletion failed; the file is still there
-			}
-		}
-	} else {
-		// Fall back to deleting what we know about.
-		j.opts.FS.Remove(filepath.Join(j.dir, genName(oldActive)))
-	}
-	j.genCount = remaining
 	return nil
 }
 
@@ -509,6 +305,10 @@ func (j *Journal) compactLocked() error {
 func (j *Journal) Pending() []PendingIntent {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.sortedPending()
+}
+
+func (j *Journal) sortedPending() []PendingIntent {
 	out := make([]PendingIntent, 0, len(j.pending))
 	for _, p := range j.pending {
 		out = append(out, p)
@@ -548,15 +348,9 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
-	var first error
-	if j.active != nil {
-		if err := j.syncLocked(); err != nil {
-			first = err
-		}
-		if err := j.active.Close(); err != nil && first == nil {
-			first = err
-		}
-		j.active = nil
+	first := j.syncLocked()
+	if err := j.log.close(); err != nil && first == nil {
+		first = err
 	}
 	return first
 }

@@ -161,8 +161,8 @@ func readRecord(r io.Reader) (Record, uint64, int64, error) {
 	if bodyLen == 0 || bodyLen > maxBodyBytes {
 		return Record{}, 0, 0, errCorrupt
 	}
-	body := make([]byte, bodyLen)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readBody(r, int(bodyLen))
+	if err != nil {
 		return Record{}, 0, 0, errTorn
 	}
 	if crc32.Checksum(body, crcTable) != crc {
@@ -173,4 +173,38 @@ func readRecord(r io.Reader) (Record, uint64, int64, error) {
 		return Record{}, 0, 0, err
 	}
 	return rec, seq, int64(headerSize) + int64(bodyLen), nil
+}
+
+// growChunk is the first buffer readBody allocates for a body of unknown
+// provenance; the buffer doubles from there as bytes arrive.
+const growChunk = 64 << 10
+
+// readBody reads the n-byte record body from r. When r is a section of a
+// file (a segment scan, a Get), the bytes left are known: the body is
+// allocated once at its exact size, or not at all when it cannot fit.
+// Otherwise — a network stream — the buffer grows as bytes arrive, so a
+// corrupt or hostile length prefix costs memory in proportion to the
+// bytes actually sent, not to the up to 1 GiB it claims.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	if sr, ok := r.(*io.SectionReader); ok {
+		pos, _ := sr.Seek(0, io.SeekCurrent)
+		if int64(n) > sr.Size()-pos {
+			return nil, io.ErrUnexpectedEOF
+		}
+		body := make([]byte, n)
+		_, err := io.ReadFull(r, body)
+		return body, err
+	}
+	body := make([]byte, 0, min(n, growChunk))
+	for len(body) < n {
+		if len(body) == cap(body) {
+			body = append(make([]byte, 0, min(2*cap(body), n)), body...)
+		}
+		m, err := r.Read(body[len(body):cap(body)])
+		body = body[:len(body)+m]
+		if err != nil && len(body) < n {
+			return nil, err
+		}
+	}
+	return body, nil
 }

@@ -11,9 +11,9 @@
 // rebuilt by scanning the segments at open; a torn tail — the result of a
 // crash mid-append — is truncated away rather than treated as fatal, so
 // the store recovers exactly the prefix of intact records. Appending the
-// same key again supersedes the older record; compaction rewrites live
-// records into fresh segments and deletes the old ones, dropping
-// superseded and corrupt data.
+// same key again supersedes the older record, which stays on disk. The
+// file discipline itself — listing, scanning, healing, fsync and
+// rotation — is the segment log shared with the job journal (log.go).
 //
 // Durability is batched: appends accumulate and fsync runs every
 // SyncEvery records (or on Sync/Close), trading a bounded window of
@@ -23,9 +23,6 @@ package store
 
 import (
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -72,14 +69,11 @@ type Stats struct {
 	Segments int
 	// Bytes is the total on-disk size of all segments.
 	Bytes int64
-	// Appends, Fsyncs and Compactions count cumulative operations since
-	// open.
-	Appends     uint64
-	Fsyncs      uint64
-	Compactions uint64
+	// Appends and Fsyncs count cumulative operations since open.
+	Appends uint64
+	Fsyncs  uint64
 	// Superseded counts records replaced by a newer append to the same
-	// key and still occupying disk (compaction drops them and resets
-	// this).
+	// key; their bytes stay on disk.
 	Superseded uint64
 	// CorruptDropped counts records dropped at open because their CRC or
 	// structure was invalid; TornTruncated counts bytes cut off the tail
@@ -103,134 +97,38 @@ type entry struct {
 // Store is an open perfdb directory. All methods are safe for concurrent
 // use.
 type Store struct {
-	dir  string
 	opts Options
 
-	mu       sync.Mutex
-	readers  map[int]faults.File // segment id -> read handle
-	segSizes map[int]int64       // segment id -> byte size
-	active   faults.File         // newest segment, opened for append
-	activeID int
-	dirty    int // appends since the last fsync
-	seq      uint64
-	index    map[string]entry
-	stats    Stats
-	closed   bool
+	mu     sync.Mutex
+	log    *segLog
+	seq    uint64
+	index  map[string]entry
+	stats  Stats
+	closed bool
 }
-
-const segPrefix, segSuffix = "perfdb-", ".seg"
-
-func segName(id int) string { return fmt.Sprintf("%s%06d%s", segPrefix, id, segSuffix) }
 
 // Open scans dir (created if missing), rebuilds the index, truncates any
 // torn tail off the newest segment, and readies the store for appends.
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
-	if err := opts.FS.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
-	}
-	s := &Store{
-		dir:      dir,
-		opts:     opts,
-		readers:  map[int]faults.File{},
-		segSizes: map[int]int64{},
-		activeID: -1,
-		index:    map[string]entry{},
-	}
-	ids, err := listSegments(opts.FS, dir)
+	s := &Store{opts: opts, index: map[string]entry{}}
+	l, err := openLog(opts.FS, dir, "perfdb-", ".seg", opts.OnFsync, s.indexRecord)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	for i, id := range ids {
-		if err := s.scanSegment(id, i == len(ids)-1); err != nil {
-			s.Close()
-			return nil, err
-		}
+	s.log = l
+	// The newest scanned segment continues to fill until it crosses the
+	// size bound.
+	if l.size() >= opts.MaxSegmentBytes {
+		err = l.roll()
+	} else {
+		err = l.openActive()
 	}
-	if err := s.openActive(); err != nil {
-		s.Close()
-		return nil, err
+	if err != nil {
+		l.close()
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	return s, nil
-}
-
-// listSegments returns the segment ids present in dir, ascending.
-func listSegments(fsys faults.FS, dir string) ([]int, error) {
-	names, err := fsys.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: reading %s: %w", dir, err)
-	}
-	var ids []int
-	for _, de := range names {
-		name := de.Name()
-		if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
-			continue
-		}
-		var id int
-		if _, err := fmt.Sscanf(name, segPrefix+"%d"+segSuffix, &id); err != nil {
-			continue
-		}
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids, nil
-}
-
-// scanSegment walks one segment, folding its records into the index.
-// Scanning stops at the first invalid record: for the newest segment the
-// tail beyond that point is truncated away (crash recovery); for older
-// segments the remainder is counted corrupt and skipped (compaction will
-// drop it).
-func (s *Store) scanSegment(id int, newest bool) error {
-	path := filepath.Join(s.dir, segName(id))
-	f, err := s.opts.FS.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		return fmt.Errorf("store: opening segment %s: %w", path, err)
-	}
-	var off int64
-	for {
-		rec, seq, n, err := readRecord(f)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			fi, statErr := f.Stat()
-			if statErr != nil {
-				f.Close()
-				return statErr
-			}
-			if newest {
-				// Torn or trailing-corrupt tail after a crash: cut it off
-				// so the segment ends at the last intact record.
-				f.Close()
-				if truncErr := s.opts.FS.Truncate(path, off); truncErr != nil {
-					return fmt.Errorf("store: truncating torn tail of %s: %w", path, truncErr)
-				}
-				s.stats.TornTruncated += fi.Size() - off
-				s.segSizes[id] = off
-				s.recordSegment(id, off)
-				return nil
-			}
-			// Mid-history corruption: drop the rest of this segment.
-			s.stats.CorruptDropped++
-			off = fi.Size()
-			break
-		}
-		s.indexRecord(rec, seq, entry{seg: id, off: off, size: n})
-		off += n
-	}
-	f.Close()
-	s.recordSegment(id, off)
-	return nil
-}
-
-// recordSegment registers a scanned segment's size and read handle
-// bookkeeping (handles open lazily).
-func (s *Store) recordSegment(id int, size int64) {
-	s.segSizes[id] = size
-	if id > s.activeID {
-		s.activeID = id
-	}
 }
 
 // indexRecord folds one scanned or appended record into the index,
@@ -245,33 +143,11 @@ func (s *Store) indexRecord(rec Record, seq uint64, at entry) {
 	}
 	if old, ok := s.index[rec.Key]; ok {
 		if old.meta.Seq >= seq {
-			return // stale duplicate (e.g. pre-compaction copy)
+			return // stale duplicate
 		}
 		s.stats.Superseded++
 	}
 	s.index[rec.Key] = at
-}
-
-// openActive opens (or creates) the append segment. A brand-new store
-// starts at segment 0; otherwise the newest scanned segment continues to
-// fill until it crosses the size bound.
-func (s *Store) openActive() error {
-	if s.activeID < 0 {
-		s.activeID = 0
-	}
-	if s.segSizes[s.activeID] >= s.opts.MaxSegmentBytes {
-		s.activeID++
-	}
-	if _, ok := s.segSizes[s.activeID]; !ok {
-		s.segSizes[s.activeID] = 0
-	}
-	path := filepath.Join(s.dir, segName(s.activeID))
-	f, err := s.opts.FS.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: opening active segment: %w", err)
-	}
-	s.active = f
-	return nil
 }
 
 // Append durably stores rec, superseding any earlier record with the same
@@ -286,109 +162,42 @@ func (s *Store) Append(rec Record) error {
 	if s.closed {
 		return fmt.Errorf("store: closed")
 	}
-	if s.active == nil {
-		// A previous failed append sealed the segment and could not open
-		// the next one (e.g. transient ENOSPC); retry here.
-		if err := s.openActive(); err != nil {
-			return err
-		}
-	}
 	s.seq++
 	seq := s.seq
 	buf := encodeRecord(nil, rec, seq)
-
-	off := s.segSizes[s.activeID]
-	if _, err := s.active.Write(buf); err != nil {
-		// The segment may now hold a torn frame. Heal before reporting the
-		// failure so the next append never lands behind garbage bytes.
-		s.healLocked(off)
+	id, off, err := s.log.append(buf)
+	if err != nil {
 		return fmt.Errorf("store: appending: %w", err)
 	}
-	s.segSizes[s.activeID] = off + int64(len(buf))
-	s.indexRecord(rec, seq, entry{seg: s.activeID, off: off, size: int64(len(buf))})
+	s.indexRecord(rec, seq, entry{seg: id, off: off, size: int64(len(buf))})
 	s.stats.Appends++
-	s.dirty++
 
-	if s.dirty >= s.opts.SyncEvery {
+	if s.log.dirty >= s.opts.SyncEvery {
 		if err := s.syncLocked(); err != nil {
 			return err
 		}
 	}
-	if s.segSizes[s.activeID] >= s.opts.MaxSegmentBytes {
-		if err := s.rotateLocked(); err != nil {
+	if s.log.size() >= s.opts.MaxSegmentBytes {
+		if err := s.syncLocked(); err != nil {
 			return err
+		}
+		if err := s.log.roll(); err != nil {
+			return fmt.Errorf("store: rotating segment: %w", err)
 		}
 	}
 	return nil
 }
 
-// syncLocked fsyncs the active segment; callers hold s.mu.
+// syncLocked fsyncs the active segment if it holds unsynced appends;
+// callers hold s.mu.
 func (s *Store) syncLocked() error {
-	if s.dirty == 0 || s.active == nil {
+	if s.log.dirty == 0 {
 		return nil
 	}
-	t0 := time.Now()
-	if err := s.active.Sync(); err != nil {
-		return fmt.Errorf("store: fsync: %w", err)
-	}
-	s.stats.Fsyncs++
-	s.dirty = 0
-	if s.opts.OnFsync != nil {
-		s.opts.OnFsync(time.Since(t0))
+	if err := s.log.sync(); err != nil {
+		return fmt.Errorf("store: %w", err)
 	}
 	return nil
-}
-
-// rotateLocked seals the active segment and starts the next one.
-func (s *Store) rotateLocked() error {
-	if err := s.syncLocked(); err != nil {
-		return err
-	}
-	if err := s.active.Close(); err != nil {
-		return err
-	}
-	delete(s.readers, s.activeID) // stale read handle may cache old size
-	s.activeID++
-	s.segSizes[s.activeID] = 0
-	path := filepath.Join(s.dir, segName(s.activeID))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: rotating segment: %w", err)
-	}
-	s.active = f
-	return nil
-}
-
-// healLocked recovers the active segment after a failed append that may
-// have persisted a torn frame at offset off. Preferred cure: truncate
-// the segment back to off — the O_APPEND handle then continues exactly
-// where the last intact record ended. If even the truncate fails (the
-// injectors model disks where everything is failing), the segment is
-// sealed at its intact prefix and a fresh one started, so the torn bytes
-// are left behind a boundary the scanner never crosses mid-segment.
-// Callers hold s.mu.
-func (s *Store) healLocked(off int64) {
-	path := filepath.Join(s.dir, segName(s.activeID))
-	if err := s.opts.FS.Truncate(path, off); err == nil {
-		s.stats.WriteHeals++
-		s.segSizes[s.activeID] = off
-		return
-	}
-	// Seal: sync what we can, close, and move on to a new segment. The
-	// torn frame stays on disk but scanning stops at it and Compact drops
-	// it, matching the mid-history-corruption path.
-	s.active.Sync()
-	s.active.Close()
-	delete(s.readers, s.activeID)
-	s.segSizes[s.activeID] = off
-	s.stats.WriteHeals++
-	s.activeID++
-	s.segSizes[s.activeID] = 0
-	s.dirty = 0
-	s.active = nil
-	if err := s.openActive(); err != nil {
-		s.active = nil // next Append retries via its nil check
-	}
 }
 
 // Sync forces any batched appends to disk.
@@ -396,20 +205,6 @@ func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.syncLocked()
-}
-
-// reader returns a read handle for segment id, opening it lazily.
-// Callers hold s.mu.
-func (s *Store) reader(id int) (faults.File, error) {
-	if f, ok := s.readers[id]; ok {
-		return f, nil
-	}
-	f, err := s.opts.FS.OpenFile(filepath.Join(s.dir, segName(id)), os.O_RDONLY, 0)
-	if err != nil {
-		return nil, err
-	}
-	s.readers[id] = f
-	return f, nil
 }
 
 // Get returns the newest payload stored under key.
@@ -439,11 +234,7 @@ func (s *Store) GetMeta(key string) (Meta, bool) {
 // may not be synced yet, but they are visible to reads: the data is in
 // the file (or page cache) as soon as Append returns.
 func (s *Store) readAtLocked(e entry) (Record, error) {
-	f, err := s.reader(e.seg)
-	if err != nil {
-		return Record{}, err
-	}
-	rec, _, _, err := readRecord(io.NewSectionReader(f, e.off, e.size))
+	rec, err := s.log.read(e)
 	if err != nil {
 		return Record{}, fmt.Errorf("store: record at seg %d off %d: %w", e.seg, e.off, err)
 	}
@@ -522,134 +313,15 @@ func (s *Store) Stats() Stats {
 	defer s.mu.Unlock()
 	st := s.stats
 	st.Records = len(s.index)
-	st.Segments = len(s.segSizes)
-	for _, sz := range s.segSizes {
+	st.Fsyncs = s.log.fsyncs
+	st.CorruptDropped = s.log.corrupt
+	st.TornTruncated = s.log.torn
+	st.WriteHeals = s.log.heals
+	st.Segments = len(s.log.sizes)
+	for _, sz := range s.log.sizes {
 		st.Bytes += sz
 	}
 	return st
-}
-
-// Compact rewrites every live record, in sequence order, into fresh
-// segments and deletes the old files: superseded records, corrupt
-// regions and torn tails all disappear. Sequence numbers are preserved,
-// so a crash between writing the new segments and deleting the old ones
-// only leaves harmless duplicates (the index keeps the newest copy of
-// each seq at the next open).
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: closed")
-	}
-	if err := s.syncLocked(); err != nil {
-		return err
-	}
-
-	live := make([]entry, 0, len(s.index))
-	for _, e := range s.index {
-		live = append(live, e)
-	}
-	sort.Slice(live, func(i, j int) bool { return live[i].meta.Seq < live[j].meta.Seq })
-
-	oldIDs := make([]int, 0, len(s.segSizes))
-	for id := range s.segSizes {
-		oldIDs = append(oldIDs, id)
-	}
-	sort.Ints(oldIDs)
-
-	// Write live records into brand-new segments numbered past every
-	// existing one.
-	newFirst := s.activeID + 1
-	id := newFirst
-	var (
-		f       faults.File
-		written int64
-		err     error
-	)
-	openSeg := func() error {
-		f, err = s.opts.FS.OpenFile(filepath.Join(s.dir, segName(id)), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-		written = 0
-		return err
-	}
-	closeSeg := func() error {
-		if f == nil {
-			return nil
-		}
-		t0 := time.Now()
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		s.stats.Fsyncs++
-		if s.opts.OnFsync != nil {
-			s.opts.OnFsync(time.Since(t0))
-		}
-		return f.Close()
-	}
-	if err := openSeg(); err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	newIndex := make(map[string]entry, len(live))
-	newSizes := map[int]int64{}
-	for _, e := range live {
-		rec, rerr := s.readAtLocked(e)
-		if rerr != nil {
-			// Unreadable under its index entry: drop it rather than abort
-			// the whole compaction.
-			s.stats.CorruptDropped++
-			continue
-		}
-		if written >= s.opts.MaxSegmentBytes {
-			newSizes[id] = written
-			if err := closeSeg(); err != nil {
-				return fmt.Errorf("store: compact: %w", err)
-			}
-			id++
-			if err := openSeg(); err != nil {
-				return fmt.Errorf("store: compact: %w", err)
-			}
-		}
-		buf := encodeRecord(nil, rec, e.meta.Seq)
-		if _, err := f.Write(buf); err != nil {
-			f.Close()
-			return fmt.Errorf("store: compact: %w", err)
-		}
-		newIndex[rec.Key] = entry{seg: id, off: written, size: int64(len(buf)), meta: e.meta}
-		written += int64(len(buf))
-	}
-	newSizes[id] = written
-	if err := closeSeg(); err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-
-	// Swap: close every old handle, delete old segments, adopt the new
-	// layout, and reopen the append segment.
-	if s.active != nil {
-		s.active.Close()
-		s.active = nil
-	}
-	for _, rf := range s.readers {
-		rf.Close()
-	}
-	s.readers = map[int]faults.File{}
-	for _, old := range oldIDs {
-		if err := s.opts.FS.Remove(filepath.Join(s.dir, segName(old))); err != nil {
-			return fmt.Errorf("store: compact: removing old segment: %w", err)
-		}
-	}
-	s.index = newIndex
-	s.segSizes = newSizes
-	s.activeID = id
-	s.dirty = 0
-	s.stats.Superseded = 0
-	s.stats.Compactions++
-	path := filepath.Join(s.dir, segName(s.activeID))
-	af, err := s.opts.FS.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: compact: reopening active segment: %w", err)
-	}
-	s.active = af
-	return nil
 }
 
 // Close syncs and releases every file handle. The store is unusable
@@ -661,21 +333,9 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	var first error
-	if s.active != nil {
-		if err := s.syncLocked(); err != nil && first == nil {
-			first = err
-		}
-		if err := s.active.Close(); err != nil && first == nil {
-			first = err
-		}
-		s.active = nil
+	first := s.syncLocked()
+	if err := s.log.close(); err != nil && first == nil {
+		first = err
 	}
-	for _, f := range s.readers {
-		if err := f.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	s.readers = nil
 	return first
 }

@@ -42,49 +42,6 @@ func ReadFrame(r io.Reader) (Record, uint64, error) {
 	return rec, seq, nil
 }
 
-// ExportRecords streams every live record whose metadata passes filter
-// (nil = all) to w as wire frames, oldest append first, and returns the
-// number of records written. The snapshot is taken once; appends racing
-// the export are not included.
-func (s *Store) ExportRecords(filter func(Meta) bool, w io.Writer) (int, error) {
-	s.mu.Lock()
-	live := make([]entry, 0, len(s.index))
-	for _, e := range s.index {
-		if filter == nil || filter(e.meta) {
-			live = append(live, e)
-		}
-	}
-	s.mu.Unlock()
-	sortEntriesBySeq(live)
-
-	var buf []byte
-	n := 0
-	for _, e := range live {
-		s.mu.Lock()
-		rec, err := s.readAtLocked(e)
-		s.mu.Unlock()
-		if err != nil {
-			// Superseded-then-compacted while exporting, or unreadable:
-			// skip rather than abort the stream.
-			continue
-		}
-		buf = EncodeFrame(buf[:0], rec, e.meta.Seq)
-		if _, err := w.Write(buf); err != nil {
-			return n, fmt.Errorf("store: exporting records: %w", err)
-		}
-		n++
-	}
-	return n, nil
-}
-
-func sortEntriesBySeq(es []entry) {
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && es[j].meta.Seq < es[j-1].meta.Seq; j-- {
-			es[j], es[j-1] = es[j-1], es[j]
-		}
-	}
-}
-
 // ImportRecord folds one replicated record into the store. The record is
 // skipped (false, nil) when the store already holds the key at the same
 // or a newer submission time — replication pushes are idempotent and

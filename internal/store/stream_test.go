@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -19,22 +21,14 @@ func openStreamTestStore(t *testing.T) *Store {
 }
 
 func TestStreamRoundTrip(t *testing.T) {
-	src := openStreamTestStore(t)
 	recs := []Record{
 		{Key: "aaa", Series: "s1", Label: "r1", UnixNano: 100, Payload: []byte(`{"a":1}`)},
 		{Key: "bbb", Series: "s1", Label: "r2", UnixNano: 200, Payload: []byte(`{"b":2}`)},
 		{Key: "ccc", Label: "r3", UnixNano: 300, Payload: []byte(`{"c":3}`)},
 	}
-	for _, r := range recs {
-		if err := src.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	var buf bytes.Buffer
-	n, err := src.ExportRecords(nil, &buf)
-	if err != nil || n != 3 {
-		t.Fatalf("ExportRecords = %d, %v", n, err)
+	for i, r := range recs {
+		buf.Write(EncodeFrame(nil, r, uint64(i+1)))
 	}
 
 	dst := openStreamTestStore(t)
@@ -57,31 +51,6 @@ func TestStreamRoundTrip(t *testing.T) {
 	applied, skipped, err = dst.ImportFrames(bytes.NewReader(buf.Bytes()))
 	if err != nil || applied != 0 || skipped != 3 {
 		t.Fatalf("re-import = %d applied, %d skipped, %v", applied, skipped, err)
-	}
-}
-
-func TestStreamFilter(t *testing.T) {
-	src := openStreamTestStore(t)
-	for _, r := range []Record{
-		{Key: "k1", Series: "keep", UnixNano: 1, Payload: []byte("x")},
-		{Key: "k2", Series: "drop", UnixNano: 2, Payload: []byte("y")},
-		{Key: "k3", Series: "keep", UnixNano: 3, Payload: []byte("z")},
-	} {
-		if err := src.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	n, err := src.ExportRecords(func(m Meta) bool { return m.Series == "keep" }, &buf)
-	if err != nil || n != 2 {
-		t.Fatalf("filtered export = %d, %v", n, err)
-	}
-	dst := openStreamTestStore(t)
-	if applied, _, err := dst.ImportFrames(&buf); err != nil || applied != 2 {
-		t.Fatalf("import = %d, %v", applied, err)
-	}
-	if _, ok, _ := dst.Get("k2"); ok {
-		t.Fatal("filtered-out key leaked into the stream")
 	}
 }
 
@@ -137,4 +106,62 @@ func TestImportBadFrame(t *testing.T) {
 	if _, _, err := ReadFrame(bytes.NewReader(nil)); err != io.EOF {
 		t.Fatalf("empty stream = %v, want io.EOF", err)
 	}
+}
+
+// streamOnly hides the length a bytes.Reader knows, so ReadFrame sees a
+// network-like stream of unknown size.
+type streamOnly struct{ io.Reader }
+
+// TestImportFramesHugeHeaderAllocation: a frame header claiming a 1 GiB
+// body followed by nothing must cost memory in proportion to the bytes
+// that arrived, not to the length it claims.
+func TestImportFramesHugeHeaderAllocation(t *testing.T) {
+	dst := openStreamTestStore(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := dst.ImportFrames(streamOnly{bytes.NewReader(hugeHeader())})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("huge header error = %v, want ErrBadFrame", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("8-byte input allocated %d bytes", got)
+	}
+}
+
+// FuzzImportFrames feeds raw bytes to the replication importer: it must
+// never panic, must apply or skip exactly the valid leading frames, and a
+// reopened store must hold exactly their keys.
+func FuzzImportFrames(f *testing.F) {
+	logSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want := map[string]bool{}
+		frames := 0
+		r := bytes.NewReader(data)
+		for {
+			rec, _, err := ReadFrame(r)
+			if err != nil || rec.Key == "" {
+				break
+			}
+			want[rec.Key] = true
+			frames++
+		}
+
+		dir := filepath.Join(t.TempDir(), "db")
+		s := mustOpen(t, dir, Options{FS: noSyncFS{}})
+		applied, skipped, _ := s.ImportFrames(streamOnly{bytes.NewReader(data)})
+		s.Close()
+		if applied+skipped != frames {
+			t.Fatalf("applied %d + skipped %d, want %d valid leading frames", applied, skipped, frames)
+		}
+		s2 := mustOpen(t, dir, Options{FS: noSyncFS{}})
+		defer s2.Close()
+		got := map[string]bool{}
+		for _, m := range s2.List() {
+			got[m.Key] = true
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("reopened store holds %v, want %v", got, want)
+		}
+	})
 }
