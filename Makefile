@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race oracle sim mesh-sim stream-sim chaos fuzz-short cover serve-smoke store-smoke cluster-smoke trackeval check fuzz bench-core bench-compare bench-cluster bench-stream bench-codec clean
+.PHONY: all build test vet loc race oracle sim mesh-sim stream-sim chaos fuzz-short cover serve-smoke store-smoke cluster-smoke trackeval check fuzz bench-core bench-compare bench-cluster bench-stream bench-codec clean
 
 all: build
 
@@ -15,6 +15,12 @@ vet:
 
 race:
 	$(GO) test -race ./...
+
+# loc prints the production Go line count: every non-test Go file outside
+# the benchmark harness and its build directory. ROADMAP.md and
+# CHANGES.md track this number.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 # serve-smoke boots the real trackd binary on an ephemeral port, submits
 # the synthetic study twice, and asserts the second submission is a cache

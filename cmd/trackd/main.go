@@ -105,7 +105,7 @@ func main() {
 		journalSync   = flag.Int("journal-sync-every", 0, "journal resolution fsync batch size (0 = default 8; intents always fsync)")
 		brkThreshold  = flag.Int("breaker-threshold", 0, "consecutive failures that open a circuit breaker (0 = default 5)")
 		brkCooldown   = flag.Duration("breaker-cooldown", 0, "cooldown before an open breaker admits a probe (0 = default 5s)")
-		streamMax     = flag.Int("stream-sessions", 0, "resident live-stream session cap (0 = default 64)")
+		streamMax     = flag.Int("stream-sessions", 0, "open live-stream session cap (0 = default 64)")
 		streamPend    = flag.Int("stream-pending", 0, "append chunks racing per stream before 429 backpressure (0 = default 4)")
 		streamEvents  = flag.Int("stream-events", 0, "per-stream event replay ring size (0 = default 256)")
 		pprofAddr     = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty disables; keep it loopback-only)")

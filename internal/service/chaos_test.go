@@ -286,7 +286,7 @@ func (c *chaosRun) finalVerify() {
 	c.drain()
 	keyOf := make(map[string]int, len(c.reqs))
 	for ri := range c.reqs {
-		spec, err := resolve(c.reqs[ri])
+		spec, err := resolveThrough(c.reqs[ri], nil)
 		if err != nil {
 			c.fail("resolve req %d: %v", ri, err)
 		}

@@ -643,7 +643,7 @@ func TestClusterSimulationSchedules(t *testing.T) {
 	reqs := clusterUploads(t)
 	keys := make([]string, len(reqs))
 	for i := range reqs {
-		spec, err := resolve(reqs[i])
+		spec, err := resolveThrough(reqs[i], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -858,7 +858,7 @@ func reqOwnedBy(t *testing.T, owner string, ring *mesh.Ring) (JobRequest, string
 			},
 			Config: &ConfigSpec{Eps: 0.07, MinPts: 3},
 		}
-		spec, err := resolve(req)
+		spec, err := resolveThrough(req, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

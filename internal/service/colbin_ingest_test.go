@@ -109,7 +109,7 @@ func TestBinarySubmitMatchesText(t *testing.T) {
 	if err := json.Unmarshal(intent, &back); err != nil {
 		t.Fatal(err)
 	}
-	spec, err := resolve(back)
+	spec, err := resolveThrough(back, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

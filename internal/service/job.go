@@ -151,17 +151,39 @@ type jobSpec struct {
 	runLabel     string // this run's name inside the series
 }
 
-// resolve validates the request and computes its cache key, without a
-// conversion cache (tests and embedders; the daemon path goes through
-// resolveThrough so repeat text uploads hit the colbin cache).
-func resolve(req JobRequest) (*jobSpec, error) {
-	return resolveThrough(req, nil)
+// uploadBase is the pipeline configuration uploaded traces and live
+// streams start from (catalog studies carry their own tuning).
+var uploadBase = core.Config{
+	Cluster: cluster.Config{Eps: 0.07, MinPts: 5, MinClusterWeight: 0.002},
 }
 
-// resolveThrough is resolve with a convert-on-first-read trace cache:
-// each uploaded text trace is keyed by the SHA-256 of its raw bytes (plus
-// decode mode) and parsed from its cached binary columnar conversion when
-// one exists, so the text parse is paid exactly once per distinct upload.
+// pipelineConfig overlays a request's knob overrides onto base,
+// validates the result, and sets the named metric axes (none keeps
+// base's). Jobs and streams both resolve their configuration here.
+func pipelineConfig(base core.Config, cs *ConfigSpec, metricNames []string) (core.Config, error) {
+	cfg := cs.overlay(base)
+	if err := cfg.Validate(); err != nil {
+		return cfg, err
+	}
+	if len(metricNames) > 0 {
+		ms := make([]metrics.Metric, 0, len(metricNames))
+		for _, name := range metricNames {
+			m, ok := metrics.ByName(name)
+			if !ok {
+				return cfg, fmt.Errorf("unknown metric %q", name)
+			}
+			ms = append(ms, m)
+		}
+		cfg.Metrics = ms
+	}
+	return cfg, nil
+}
+
+// resolveThrough validates the request and computes its cache key. A
+// non-nil tc is the convert-on-first-read trace cache: each uploaded text
+// trace is keyed by the SHA-256 of its raw bytes (plus decode mode) and
+// parsed from its cached binary columnar conversion when one exists, so
+// the text parse is paid exactly once per distinct upload.
 func resolveThrough(req JobRequest, tc *store.TraceCache) (*jobSpec, error) {
 	sources := 0
 	if req.Study != "" {
@@ -193,9 +215,7 @@ func resolveThrough(req JobRequest, tc *store.TraceCache) (*jobSpec, error) {
 		spec.cfg = st.Track
 		spec.label = "study:" + st.Name
 	} else {
-		spec.cfg = core.Config{
-			Cluster: cluster.Config{Eps: 0.07, MinPts: 5, MinClusterWeight: 0.002},
-		}
+		spec.cfg = uploadBase
 		opts := trace.DecodeOptions{Strict: !req.Lenient}
 		for i, text := range req.Traces {
 			t, diag, err := parseTextCached([]byte(text), opts, tc)
@@ -226,23 +246,12 @@ func resolveThrough(req JobRequest, tc *store.TraceCache) (*jobSpec, error) {
 		spec.label = fmt.Sprintf("upload:%d traces", len(spec.traces))
 	}
 
-	spec.cfg = req.Config.overlay(spec.cfg)
-	if err := spec.cfg.Validate(); err != nil {
+	cfg, err := pipelineConfig(spec.cfg, req.Config, req.Metrics)
+	if err != nil {
 		return nil, err
 	}
-
-	spec.ms = spec.cfg.Metrics
-	if len(req.Metrics) > 0 {
-		spec.ms = spec.ms[:0:0]
-		for _, name := range req.Metrics {
-			m, ok := metrics.ByName(name)
-			if !ok {
-				return nil, fmt.Errorf("unknown metric %q", name)
-			}
-			spec.ms = append(spec.ms, m)
-		}
-		spec.cfg.Metrics = spec.ms
-	}
+	spec.cfg = cfg
+	spec.ms = cfg.Metrics
 	if len(spec.ms) == 0 {
 		spec.ms = metrics.DefaultSpace()
 	}
@@ -350,10 +359,9 @@ type Job struct {
 	// inflight table and never written afterwards, so workers may read
 	// it without the server mutex.
 	journaled bool
-	// remote marks a job forwarded to its ring owner on another node;
-	// owner names that node. Like journaled, both are set before the job
-	// is published and immutable afterwards.
-	remote      bool
+	// owner names the node a forwarded job was sent to ("" for a local
+	// job). Like journaled, it is set before the job is published and
+	// immutable afterwards.
 	owner       string
 	errMsg      string
 	result      []byte

@@ -102,8 +102,8 @@ func (s *Server) replay(pending []store.PendingIntent) {
 }
 
 // replayIntent resubmits one journaled intent. It returns the job to
-// wait on, or nil when the intent resolved immediately (store hit,
-// undecodable payload, fingerprint mismatch, or shutdown).
+// wait on, or nil when there is none (a found result, undecodable
+// payload, fingerprint mismatch, or shutdown).
 func (s *Server) replayIntent(p store.PendingIntent) *Job {
 	var req JobRequest
 	if err := json.Unmarshal(p.Payload, &req); err != nil {
@@ -123,56 +123,29 @@ func (s *Server) replayIntent(p store.PendingIntent) *Job {
 		return nil
 	}
 
+	// The same lookup and placement as Submit. A hit settles the intent
+	// (done when the result is durable; an in-flight job resolves the
+	// shared per-key intent itself), and in cluster mode placement
+	// re-routes through the mesh: the key may be owned elsewhere (or have
+	// been re-owned by a rebalance while this node was down), and the
+	// owner's singleflight keeps the recovered job exactly-once
+	// cluster-wide.
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil
 	}
-	if val, ok := s.cache.Get(spec.key); ok {
-		s.refileLocked(spec, val)
+	if h := s.lookupLocked(spec); h.done || h.running != nil {
 		s.mu.Unlock()
-		s.journal.Resolve(p.Key, "", true)
-		return nil
+		s.settleIntent(p.Key, h.durable)
+		return h.running
 	}
-	if running, ok := s.inflight[spec.key]; ok {
-		// A client resubmitted the same inputs before replay got here:
-		// attach to that execution. No flag needs flipping — every job
-		// published to the inflight table while the journal is on is
-		// already journaled (Submit and replay both set the flag before
-		// publishing), and intents are keyed by fingerprint, so that
-		// job's resolution settles this intent too. Writing
-		// running.journaled here would race the worker's unlocked read;
-		// the field is immutable once the job is visible.
-		s.mu.Unlock()
-		return running
-	}
-	if _, ok := s.storeGetLocked(spec); ok {
-		// The result landed in perfdb before the crash; only the
-		// resolution entry was lost. No recomputation.
-		s.mu.Unlock()
-		s.journal.Resolve(p.Key, "", true)
-		return nil
-	}
-	// In cluster mode, replay re-routes through the mesh: the key may be
-	// owned elsewhere (or have been re-owned by a rebalance while this
-	// node was down), and the owner's singleflight — plus the pre-execute
-	// cluster lookup — keeps the recovered job exactly-once cluster-wide.
-	if owner, fwd := s.forwardTarget(spec.key, false); fwd {
-		j := s.forwardLocked(spec, true, owner, p.Payload)
-		s.mu.Unlock()
-		return j
-	}
-	j := s.newJobLocked(spec)
-	j.journaled = true
-	s.inflight[spec.key] = j
+	j, _ := s.placeLocked(spec, false, p.Payload, true)
 	s.mu.Unlock()
-
-	// Blocking send: replay must not drop acknowledged work on a full
-	// queue; it waits for capacity (or shutdown).
-	select {
-	case s.queue <- j:
-		return j
-	case <-s.rootCtx.Done():
-		return nil
+	if j.owner == "" {
+		// Replay must not drop acknowledged work on a full queue: it
+		// waits for capacity (or shutdown, which cancels the job).
+		s.enqueueWait(j)
 	}
+	return j
 }

@@ -105,25 +105,6 @@ func (s *Server) forwardTarget(key string, via bool) (string, bool) {
 	return owner, true
 }
 
-// forwardLocked registers a job that will be satisfied by its owner node
-// and launches the forwarding goroutine; callers hold s.mu. The job
-// lives in the local jobs/inflight tables like any other, so duplicate
-// local submissions coalesce onto it and clients poll it by its local id.
-func (s *Server) forwardLocked(spec *jobSpec, journaled bool, owner string, reqBody []byte) *Job {
-	j := s.newJobLocked(spec)
-	j.journaled = journaled
-	j.remote = true
-	j.owner = owner
-	s.inflight[spec.key] = j
-	s.mm.forwards.Inc()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.runRemote(j, reqBody)
-	}()
-	return j
-}
-
 const (
 	forwardDone        = iota // terminal success: result bytes in hand
 	forwardFailed             // the owner reached a definitive job failure
@@ -178,7 +159,7 @@ func (s *Server) runRemote(j *Job, reqBody []byte) {
 		}
 	}
 	if s.rootCtx.Err() != nil {
-		s.publishRemoteCanceled(j)
+		s.cancelJob(j)
 		return
 	}
 	// No reachable owner. The result may still exist in the cluster (the
@@ -189,12 +170,7 @@ func (s *Server) runRemote(j *Job, reqBody []byte) {
 		return
 	}
 	s.mm.forwardFallbacks.Inc()
-	select {
-	case s.queue <- j:
-		// A worker takes over: run() publishes the outcome.
-	case <-s.rootCtx.Done():
-		s.publishRemoteCanceled(j)
-	}
+	s.enqueueWait(j) // a worker takes over: run() publishes the outcome
 }
 
 // forwardOnce submits the job to owner and long-polls the result.
@@ -251,42 +227,17 @@ func apiError(status int, body []byte) string {
 // intent pending for the next startup's replay, exactly like the
 // single-node computed-but-not-persisted case.
 func (s *Server) publishRemote(j *Job, result []byte, errMsg string, durable bool) {
+	state := StateDone
 	switch {
-	case errMsg == "" && durable:
-		s.resolveJournal(j, "", true)
 	case errMsg != "":
+		state = StateFailed
 		s.resolveJournal(j, errMsg, false)
+	case durable:
+		s.resolveJournal(j, "", true)
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	j.finished = time.Now()
-	delete(s.inflight, j.Key)
-	if errMsg == "" {
-		j.state = StateDone
-		j.result = result
-		s.cache.Put(j.Key, result)
-		s.m.jobsCompleted.Inc()
-	} else {
-		j.state = StateFailed
-		j.errMsg = errMsg
-		s.m.jobsFailed.Inc()
-	}
-	s.m.jobLatency.Observe(j.finished.Sub(j.submitted).Seconds())
-	close(j.done)
-}
-
-func (s *Server) publishRemoteCanceled(j *Job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j.state.Terminal() {
-		return
-	}
-	j.state = StateCanceled
-	j.errMsg = "daemon shutting down"
-	j.finished = time.Now()
-	delete(s.inflight, j.Key)
-	s.m.jobsCanceled.Inc()
-	close(j.done)
+	s.finishLocked(j, state, result, errMsg)
+	s.mu.Unlock()
 }
 
 // fetchFromCluster asks every alive peer for the stored result under
@@ -486,14 +437,15 @@ func (s *Server) Rebalance(ctx context.Context) (int, error) {
 
 // ---- scatter-gather reads ----
 
-// scatterMetas gathers /v1/results listings from every alive peer.
-func (s *Server) scatterMetas(ctx context.Context, series string) []store.Meta {
-	var out []store.Meta
+// scatterMetas gathers the /v1/results listing (of one series, or of
+// everything when series is "") from every alive peer and hands each
+// peer's listing to visit.
+func (s *Server) scatterMetas(ctx context.Context, series string, visit func(peer string, metas []store.Meta)) {
+	path := "/v1/results"
+	if series != "" {
+		path += "?series=" + url.QueryEscape(series)
+	}
 	for _, p := range s.mesh.AlivePeers() {
-		path := "/v1/results"
-		if series != "" {
-			path += "?series=" + url.QueryEscape(series)
-		}
 		status, _, body, err := s.mesh.DoH(ctx, p.ID, http.MethodGet, path, nil)
 		if err != nil || status != http.StatusOK {
 			continue
@@ -502,10 +454,9 @@ func (s *Server) scatterMetas(ctx context.Context, series string) []store.Meta {
 			Results []store.Meta `json:"results"`
 		}
 		if json.Unmarshal(body, &resp) == nil {
-			out = append(out, resp.Results...)
+			visit(p.ID, resp.Results)
 		}
 	}
-	return out
 }
 
 // mergeMetas deduplicates by key (newest submission time wins) and
@@ -573,23 +524,12 @@ func (s *Server) loadSeriesRunsCluster(ctx context.Context, name string) ([]traj
 	for _, r := range runs {
 		have[r.Key] = true
 	}
-	for _, p := range s.mesh.AlivePeers() {
-		path := "/v1/results?series=" + url.QueryEscape(name)
-		status, _, body, err := s.mesh.DoH(ctx, p.ID, http.MethodGet, path, nil)
-		if err != nil || status != http.StatusOK {
-			continue
-		}
-		var resp struct {
-			Results []store.Meta `json:"results"`
-		}
-		if json.Unmarshal(body, &resp) != nil {
-			continue
-		}
-		for _, m := range resp.Results {
+	s.scatterMetas(ctx, name, func(peer string, metas []store.Meta) {
+		for _, m := range metas {
 			if have[m.Key] {
 				continue
 			}
-			status, _, payload, err := s.mesh.DoH(ctx, p.ID, http.MethodGet, "/v1/results/"+url.PathEscape(m.Key), nil)
+			status, _, payload, err := s.mesh.DoH(ctx, peer, http.MethodGet, "/v1/results/"+url.PathEscape(m.Key), nil)
 			if err != nil || status != http.StatusOK {
 				continue
 			}
@@ -600,7 +540,7 @@ func (s *Server) loadSeriesRunsCluster(ctx context.Context, name string) ([]traj
 			have[m.Key] = true
 			runs = append(runs, run)
 		}
-	}
+	})
 	sort.Slice(runs, func(i, j int) bool {
 		if runs[i].UnixNano != runs[j].UnixNano {
 			return runs[i].UnixNano < runs[j].UnixNano

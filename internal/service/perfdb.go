@@ -96,6 +96,15 @@ func (s *Server) storeGetLocked(spec *jobSpec) ([]byte, bool) {
 	return payload, true
 }
 
+// stored reports whether perfdb holds a result for key.
+func (s *Server) stored(key string) bool {
+	if s.store == nil {
+		return false
+	}
+	_, ok := s.store.GetMeta(key)
+	return ok
+}
+
 // refileLocked records series membership for an already-stored result:
 // resubmitting a known input under a (different) series name must still
 // land it in that series' history. Callers hold s.mu.
@@ -131,7 +140,9 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	if s.mesh != nil && !viaMesh(r) {
 		// Cluster-wide listing: any node answers for the whole corpus.
 		s.mm.scatters.Inc()
-		metas = mergeMetas(metas, s.scatterMetas(r.Context(), series))
+		var remote []store.Meta
+		s.scatterMetas(r.Context(), series, func(_ string, ms []store.Meta) { remote = append(remote, ms...) })
+		metas = mergeMetas(metas, remote)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"results": metas,

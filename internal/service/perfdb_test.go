@@ -101,11 +101,11 @@ func TestRefileIntoSeries(t *testing.T) {
 // TestSeriesValidation: series names are path segments and must be safe.
 func TestSeriesValidation(t *testing.T) {
 	for _, bad := range []string{"a/b", "a b", "höhe", strings.Repeat("x", 200)} {
-		if _, err := resolve(JobRequest{Study: "Synthetic", Series: bad}); err == nil {
+		if _, err := resolveThrough(JobRequest{Study: "Synthetic", Series: bad}, nil); err == nil {
 			t.Errorf("series %q accepted", bad)
 		}
 	}
-	if _, err := resolve(JobRequest{Study: "Synthetic", Series: "nightly-v1.2_x"}); err != nil {
+	if _, err := resolveThrough(JobRequest{Study: "Synthetic", Series: "nightly-v1.2_x"}, nil); err != nil {
 		t.Errorf("valid series rejected: %v", err)
 	}
 }

@@ -311,7 +311,7 @@ func TestExecBreakerTripsOnPipelineFailures(t *testing.T) {
 // succeeds and /healthz still answers.
 func TestWorkerPanicFailsOneJob(t *testing.T) {
 	reqs := simUploads(t)
-	bad, err := resolve(reqs[0])
+	bad, err := resolveThrough(reqs[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,8 +123,8 @@ type Config struct {
 	// StoreFS, when set, substitutes the filesystem under the store and
 	// journal — the chaos tests plug in faults.FaultFS here.
 	StoreFS faults.FS
-	// StreamMaxSessions bounds the resident streaming sessions (default
-	// 64); creations beyond it answer 429. StreamMaxPending bounds the
+	// StreamMaxSessions bounds the open (unfinished) streaming sessions
+	// (default 64); creations beyond it answer 429. StreamMaxPending bounds the
 	// in-flight burst chunks per stream before backpressure kicks in
 	// (default 4). StreamEventBuffer is the per-stream delta ring a slow
 	// subscriber can lag behind before missing events (default 256).
@@ -475,6 +475,9 @@ func (s *Server) Submit(req JobRequest) (job *Job, coalesced bool, err error) {
 // submit is Submit plus the mesh provenance bit: via is true when the
 // request was forwarded by a peer, which pins execution here (no
 // re-forwarding, even if membership views disagree mid-transition).
+//
+// It is one pass: resolve → look up → degraded gate → (journal on: fsync
+// the intent outside s.mu, then look up again) → place.
 func (s *Server) submit(req JobRequest, via bool) (job *Job, coalesced bool, err error) {
 	spec, err := resolveThrough(req, s.tcache)
 	if err != nil {
@@ -491,101 +494,60 @@ func (s *Server) submit(req JobRequest, via bool) (job *Job, coalesced bool, err
 		return nil, false, ErrShuttingDown
 	}
 	s.m.jobsAccepted.Inc()
-
-	if val, ok := s.cache.Get(spec.key); ok {
+	h := s.lookupLocked(spec)
+	if h.cached {
 		s.m.cacheHits.Inc()
-		s.refileLocked(spec, val)
-		j := s.finishedJobLocked(spec, val)
-		s.mu.Unlock()
-		return j, false, nil
+	} else {
+		s.m.cacheMisses.Inc()
 	}
-	s.m.cacheMisses.Inc()
-
-	if running, ok := s.inflight[spec.key]; ok {
-		s.m.jobsCoalesced.Inc()
+	if j, coalesced, ok := s.answerLocked(spec, h); ok {
 		s.mu.Unlock()
-		return running, true, nil
-	}
-
-	// Read-through: a result computed before the last restart lives in
-	// the persistent store even though the in-memory cache lost it.
-	if val, ok := s.storeGetLocked(spec); ok {
-		j := s.finishedJobLocked(spec, val)
-		s.mu.Unlock()
-		return j, false, nil
+		return j, coalesced, nil
 	}
 
 	// Everything past here is write work. Degrade to read-only while a
 	// breaker is open: reads above keep flowing, new executions do not.
-	if (s.journal != nil && s.storeBreaker.Blocked()) || s.execBreaker.Blocked() {
+	journaled := s.journal != nil
+	if (journaled && s.storeBreaker.Blocked()) || s.execBreaker.Blocked() {
 		s.rm.degradedResponses.Inc()
 		s.mu.Unlock()
 		return nil, false, ErrDegraded
 	}
 
-	if s.journal == nil {
-		if owner, fwd := s.forwardTarget(spec.key, via); fwd {
-			j := s.forwardLocked(spec, false, owner, intent)
-			s.mu.Unlock()
-			return j, false, nil
+	if journaled {
+		s.mu.Unlock()
+		// Journal the intent before acknowledging — the fsync inside is
+		// what turns the 202 into a durability promise — but OUTSIDE the
+		// server mutex: a slow or hung disk stalls this one submission,
+		// not every status poll, cache hit and health snapshot queued
+		// behind the lock.
+		if jerr := s.journal.Intent(spec.key, intent); jerr != nil {
+			s.rm.degradedResponses.Inc()
+			return nil, false, fmt.Errorf("%w: %v", ErrDegraded, jerr)
 		}
-		j, err := s.admitLocked(spec, false)
-		s.mu.Unlock()
-		return j, false, err
+		s.mu.Lock()
+		if s.closed {
+			// Shutdown began while the intent fsynced. The durable intent
+			// is deliberately left pending: the next startup replays it,
+			// and since this client never got its ack, the replayed run
+			// is at worst one harmless execution.
+			s.mu.Unlock()
+			return nil, false, ErrShuttingDown
+		}
+		// The world may have changed while the lock was released: an
+		// identical submission may have finished (cache), be running
+		// (singleflight) or have landed in the store. Look again so a key
+		// still never executes twice without cause.
+		h = s.lookupLocked(spec)
+		if j, coalesced, ok := s.answerLocked(spec, h); ok {
+			s.mu.Unlock()
+			s.settleIntent(spec.key, h.durable)
+			return j, coalesced, nil
+		}
 	}
+	j, err := s.placeLocked(spec, via, intent, false)
 	s.mu.Unlock()
-
-	// Journal the intent before acknowledging — the fsync inside is what
-	// turns the 202 into a durability promise — but OUTSIDE the server
-	// mutex: a slow or hung disk stalls this one submission, not every
-	// status poll, cache hit and health snapshot queued behind the lock.
-	if jerr := s.journal.Intent(spec.key, intent); jerr != nil {
-		s.rm.degradedResponses.Inc()
-		return nil, false, fmt.Errorf("%w: %v", ErrDegraded, jerr)
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		// Shutdown began while the intent fsynced. The durable intent is
-		// deliberately left pending: the next startup replays it, and
-		// since this client never got its ack, the replayed run is at
-		// worst one harmless execution.
-		s.mu.Unlock()
-		return nil, false, ErrShuttingDown
-	}
-	// The world may have changed while the lock was released: an
-	// identical submission may have finished (cache), be running
-	// (singleflight) or have landed in the store. Re-check before
-	// enqueueing so a key still never executes twice without cause.
-	if val, ok := s.cache.Get(spec.key); ok {
-		s.refileLocked(spec, val)
-		j := s.finishedJobLocked(spec, val)
-		_, durable := s.store.GetMeta(spec.key)
-		s.mu.Unlock()
-		s.settleRecheckIntent(spec.key, durable)
-		return j, false, nil
-	}
-	if running, ok := s.inflight[spec.key]; ok {
-		s.m.jobsCoalesced.Inc()
-		_, durable := s.store.GetMeta(spec.key)
-		s.mu.Unlock()
-		s.settleRecheckIntent(spec.key, durable)
-		return running, true, nil
-	}
-	if val, ok := s.storeGetLocked(spec); ok {
-		j := s.finishedJobLocked(spec, val)
-		s.mu.Unlock()
-		s.settleRecheckIntent(spec.key, true)
-		return j, false, nil
-	}
-	if owner, fwd := s.forwardTarget(spec.key, via); fwd {
-		j := s.forwardLocked(spec, true, owner, intent)
-		s.mu.Unlock()
-		return j, false, nil
-	}
-	j, err := s.admitLocked(spec, true)
-	s.mu.Unlock()
-	if errors.Is(err, ErrQueueFull) {
+	if journaled && errors.Is(err, ErrQueueFull) {
 		// Balance the journaled intent with a fail entry so the rejected
 		// submission is not replayed as a ghost job.
 		s.journal.Resolve(spec.key, "queue full, never admitted", false)
@@ -593,50 +555,153 @@ func (s *Server) submit(req JobRequest, via bool) (job *Job, coalesced bool, err
 	return j, false, err
 }
 
-// admitLocked registers a fresh job and offers it to the bounded queue;
-// callers hold s.mu. A full queue undoes the registration — safe because
-// nothing else can have appended to s.order inside this critical section
-// — and returns ErrQueueFull.
-func (s *Server) admitLocked(spec *jobSpec, journaled bool) (*Job, error) {
-	j := s.newJobLocked(spec)
-	j.journaled = journaled
-	select {
-	case s.queue <- j:
-	default:
-		delete(s.jobs, j.ID)
-		s.order = s.order[:len(s.order)-1]
-		s.m.jobsRejected.Inc()
-		return nil, ErrQueueFull
-	}
-	s.inflight[spec.key] = j
-	return j, nil
+// hit is what lookupLocked found for a key: its finished result (from
+// the cache, or read through from perfdb), or the identical job already
+// queued or running, or neither.
+type hit struct {
+	result  []byte
+	done    bool // result holds the finished bytes
+	cached  bool // ... served from the result cache rather than perfdb
+	running *Job
+	// durable: the result is in perfdb, so a journal intent for the key
+	// may resolve done.
+	durable bool
 }
 
-// settleRecheckIntent balances the intent journaled by a submission that
-// turned into a hit or a coalesce during its fsync window. When the
-// result is already durable in the store the intent resolves done;
-// otherwise it stays pending on purpose — either the in-flight execution
-// it coalesced onto resolves the shared per-key intent when it finishes,
-// or (result computed but never persisted) the next startup's replay
-// lands it in the store.
-func (s *Server) settleRecheckIntent(key string, durable bool) {
+// lookupLocked consults the result cache, the in-flight table and perfdb,
+// in that order; callers hold s.mu. It creates no job. A perfdb hit
+// repopulates the cache, and a result found under a new series name is
+// refiled there.
+func (s *Server) lookupLocked(spec *jobSpec) hit {
+	if val, ok := s.cache.Get(spec.key); ok {
+		s.refileLocked(spec, val)
+		return hit{result: val, done: true, cached: true, durable: s.stored(spec.key)}
+	}
+	if running, ok := s.inflight[spec.key]; ok {
+		return hit{running: running, durable: s.stored(spec.key)}
+	}
+	if val, ok := s.storeGetLocked(spec); ok {
+		return hit{result: val, done: true, durable: true}
+	}
+	return hit{}
+}
+
+// answerLocked turns a lookup hit into the submission's answer: a job
+// born done around the found result, or the identical in-flight job
+// (coalesced). ok is false when the lookup found nothing. Callers hold
+// s.mu.
+func (s *Server) answerLocked(spec *jobSpec, h hit) (j *Job, coalesced, ok bool) {
+	switch {
+	case h.done:
+		j = s.newJobLocked(spec)
+		j.cacheHit = true
+		s.finishLocked(j, StateDone, h.result, "")
+		return j, false, true
+	case h.running != nil:
+		s.m.jobsCoalesced.Inc()
+		return h.running, true, true
+	}
+	return nil, false, false
+}
+
+// settleIntent balances a journal intent that a lookup answered without
+// a new execution. When the result is already durable in the store the
+// intent resolves done; otherwise it stays pending on purpose — either
+// the in-flight execution it coalesced onto resolves the shared per-key
+// intent when it finishes, or (result computed but never persisted) the
+// next startup's replay lands it in the store.
+func (s *Server) settleIntent(key string, durable bool) {
 	if durable {
 		s.journal.Resolve(key, "", true)
 	}
 }
 
-// finishedJobLocked registers a job born done (cache or store hit);
-// callers hold s.mu.
-func (s *Server) finishedJobLocked(spec *jobSpec, val []byte) *Job {
+// placeLocked registers a fresh job for spec and hands it to whoever
+// executes it: the ring owner when another node owns the key (see
+// forwardTarget), else the local queue. Callers hold s.mu. A full queue
+// refuses the job with ErrQueueFull and undoes the registration — safe
+// because nothing else can have appended to s.order inside this
+// critical section. With block set (replay: the intent is already
+// acknowledged, so a full queue must not refuse it) a local job is
+// registered but not queued; the caller hands it to enqueueWait once s.mu
+// is released.
+func (s *Server) placeLocked(spec *jobSpec, via bool, body []byte, block bool) (*Job, error) {
 	j := s.newJobLocked(spec)
-	j.state = StateDone
-	j.cacheHit = true
-	j.result = val
+	j.journaled = s.journal != nil
+	owner, fwd := s.forwardTarget(spec.key, via)
+	switch {
+	case fwd:
+		j.owner = owner
+		s.mm.forwards.Inc()
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			s.runRemote(j, body)
+		}()
+	case block:
+	default:
+		select {
+		case s.queue <- j:
+		default:
+			delete(s.jobs, j.ID)
+			s.order = s.order[:len(s.order)-1]
+			s.m.jobsRejected.Inc()
+			return nil, ErrQueueFull
+		}
+	}
+	s.inflight[spec.key] = j
+	return j, nil
+}
+
+// enqueueWait hands an acknowledged local job to the queue, waiting for
+// capacity rather than refusing it; shutdown cancels the job instead.
+// Replay and the forward fallback use it. Callers do not hold s.mu.
+func (s *Server) enqueueWait(j *Job) {
+	select {
+	case s.queue <- j:
+	case <-s.rootCtx.Done():
+		s.cancelJob(j)
+	}
+}
+
+// finishLocked is the one terminal transition every job takes: cache hit,
+// execution, failure, cancellation or a forwarded result. It sets the
+// state, leaves the in-flight table, caches a result, counts the outcome,
+// observes trackd_job_seconds, releases the decoded input traces (a
+// terminal job is kept for status polls, its input is not) and wakes the
+// waiters. A job already terminal is left alone. Callers hold s.mu.
+func (s *Server) finishLocked(j *Job, state JobState, result []byte, errMsg string) {
+	if j.state.Terminal() {
+		return
+	}
+	j.state, j.errMsg = state, errMsg
 	j.finished = time.Now()
-	close(j.done)
-	s.m.jobsCompleted.Inc()
+	j.spec.traces = nil
+	if s.inflight[j.Key] == j {
+		delete(s.inflight, j.Key)
+	}
+	switch state {
+	case StateDone:
+		j.result = result
+		s.cache.Put(j.Key, result)
+		s.m.jobsCompleted.Inc()
+	case StateFailed:
+		s.m.jobsFailed.Inc()
+	case StateCanceled:
+		s.m.jobsCanceled.Inc()
+	}
 	s.m.jobLatency.Observe(j.finished.Sub(j.submitted).Seconds())
-	return j
+	close(j.done)
+}
+
+// shutdownMsg is the error a job canceled by daemon shutdown reports.
+const shutdownMsg = "daemon shutting down"
+
+// cancelJob finishes a job that shutdown interrupted before it ran.
+func (s *Server) cancelJob(j *Job) {
+	s.mu.Lock()
+	s.finishLocked(j, StateCanceled, nil, shutdownMsg)
+	s.mu.Unlock()
 }
 
 // newJobLocked allocates and registers a job; callers hold s.mu.
@@ -760,15 +825,15 @@ func (s *Server) run(j *Job) {
 	// Classify the outcome once; the journal resolution, the breaker
 	// verdict and the published state must all agree.
 	shutdownCancel := err != nil && s.rootCtx.Err() != nil && ctx.Err() == context.Canceled
-	var errMsg string
+	state, errMsg := StateDone, ""
 	switch {
 	case err == nil:
 	case shutdownCancel:
-		errMsg = "daemon shutting down"
+		state, errMsg = StateCanceled, shutdownMsg
 	case errors.Is(err, context.DeadlineExceeded):
-		errMsg = fmt.Sprintf("job timeout after %s", s.cfg.JobTimeout)
+		state, errMsg = StateFailed, fmt.Sprintf("job timeout after %s", s.cfg.JobTimeout)
 	default:
-		errMsg = err.Error()
+		state, errMsg = StateFailed, err.Error()
 	}
 
 	// Persist and resolve the journal OUTSIDE the server mutex: persist
@@ -809,27 +874,11 @@ func (s *Server) run(j *Job) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j.finished = time.Now()
-	delete(s.inflight, j.Key)
-	switch {
-	case err == nil:
-		j.state = StateDone
-		j.result = result
+	if state == StateDone {
 		j.diagnostics = diags
-		s.cache.Put(j.Key, result)
-		s.m.jobsCompleted.Inc()
 		s.noteDiagnosticsLocked(diags)
-	case shutdownCancel:
-		j.state = StateCanceled
-		j.errMsg = errMsg
-		s.m.jobsCanceled.Inc()
-	default:
-		j.state = StateFailed
-		j.errMsg = errMsg
-		s.m.jobsFailed.Inc()
 	}
-	s.m.jobLatency.Observe(j.finished.Sub(j.submitted).Seconds())
-	close(j.done)
+	s.finishLocked(j, state, result, errMsg)
 }
 
 // execute runs the pipeline stages, timing each into its histogram.
@@ -925,25 +974,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 	// Cancel running pipelines, then mark every queued job canceled.
 	s.cancel()
-	for {
-		var j *Job
+	for drained := false; !drained; {
 		select {
-		case j = <-s.queue:
+		case j := <-s.queue:
+			s.cancelJob(j)
 		default:
+			drained = true
 		}
-		if j == nil {
-			break
-		}
-		s.mu.Lock()
-		if !j.state.Terminal() {
-			j.state = StateCanceled
-			j.errMsg = "daemon shutting down"
-			j.finished = time.Now()
-			delete(s.inflight, j.Key)
-			s.m.jobsCanceled.Inc()
-			close(j.done)
-		}
-		s.mu.Unlock()
 	}
 
 	done := make(chan struct{})
@@ -1023,6 +1060,12 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
 }
 
+// setRetryAfter sends the configured backoff hint (whole seconds) with a
+// 429 or 503.
+func (s *Server) setRetryAfter(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds()+0.5)))
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	data, err := io.ReadAll(body)
@@ -1051,14 +1094,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j, coalesced, err := s.submit(req, via)
 	switch {
 	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds()+0.5)))
+		s.setRetryAfter(w)
 		writeError(w, http.StatusTooManyRequests, "job queue is full, retry later")
 		return
 	case errors.Is(err, ErrShuttingDown):
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	case errors.Is(err, ErrDegraded):
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds()+0.5)))
+		s.setRetryAfter(w)
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	case err != nil:
@@ -1168,10 +1211,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		// X-Durable tells a forwarding peer whether this result is in the
 		// persistent store — the signal that lets it resolve its own
 		// journal intent.
-		if s.store != nil {
-			if _, ok := s.store.GetMeta(j.Key); ok {
-				w.Header().Set("X-Durable", "true")
-			}
+		if s.stored(j.Key) {
+			w.Header().Set("X-Durable", "true")
 		}
 		w.Write(result)
 	case StateFailed:

@@ -101,7 +101,7 @@ func TestSubmitTwiceServesSecondFromCache(t *testing.T) {
 // TestConfigChangesCacheKey: any knob that influences the output must
 // change the cache key, so near-identical submissions never alias.
 func TestConfigChangesCacheKey(t *testing.T) {
-	base, err := resolve(syntheticReq())
+	base, err := resolveThrough(syntheticReq(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestConfigChangesCacheKey(t *testing.T) {
 	}
 	seen := map[string]int{base.key: -1}
 	for i, req := range variants {
-		spec, err := resolve(req)
+		spec, err := resolveThrough(req, nil)
 		if err != nil {
 			t.Fatalf("variant %d: %v", i, err)
 		}
@@ -276,7 +276,7 @@ func TestResolveValidation(t *testing.T) {
 		{"bad config", JobRequest{Study: "WRF", Config: &ConfigSpec{MinCorrelation: 3}}, "MinCorrelation"},
 	}
 	for _, tc := range cases {
-		_, err := resolve(tc.req)
+		_, err := resolveThrough(tc.req, nil)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want error containing %q", tc.name, err, tc.want)
 		}

@@ -257,7 +257,7 @@ func runSchedule(t *testing.T, seed uint64, baseDir string, reqs []JobRequest) {
 // keyOfReq returns the cache key of request ri as the server would
 // compute it (resolve is deterministic).
 func keyOfReq(s *simSchedule, ri int) string {
-	spec, err := resolve(s.reqs[ri])
+	spec, err := resolveThrough(s.reqs[ri], nil)
 	if err != nil {
 		s.fail("resolve req %d: %v", ri, err)
 	}

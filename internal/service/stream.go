@@ -21,6 +21,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -31,9 +32,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"perftrack/internal/cluster"
-	"perftrack/internal/core"
-	"perftrack/internal/metrics"
 	"perftrack/internal/store"
 	"perftrack/internal/stream"
 	"perftrack/internal/trace"
@@ -95,22 +93,8 @@ func resolveStream(req StreamRequest) (stream.Config, error) {
 			return sc, fmt.Errorf("stream id %v", err)
 		}
 	}
-	cfg := core.Config{
-		Cluster: cluster.Config{Eps: 0.07, MinPts: 5, MinClusterWeight: 0.002},
-	}
-	cfg = req.Config.overlay(cfg)
-	if len(req.Metrics) > 0 {
-		ms := make([]metrics.Metric, 0, len(req.Metrics))
-		for _, name := range req.Metrics {
-			m, ok := metrics.ByName(name)
-			if !ok {
-				return sc, fmt.Errorf("unknown metric %q", name)
-			}
-			ms = append(ms, m)
-		}
-		cfg.Metrics = ms
-	}
-	if err := cfg.Validate(); err != nil {
+	cfg, err := pipelineConfig(uploadBase, req.Config, req.Metrics)
+	if err != nil {
 		return sc, err
 	}
 	sc = stream.Config{
@@ -236,16 +220,23 @@ func (e *streamEntry) markDone() {
 	e.evMu.Unlock()
 }
 
-// streamRegistry holds the node's resident streams.
+// streamRegistry holds the node's resident streams. Finished streams
+// stay readable; open holds the unfinished ones, which are what
+// Config.StreamMaxSessions bounds.
 type streamRegistry struct {
 	mu      sync.Mutex
 	entries map[string]*streamEntry
 	order   []string
 	seq     int
+	open    map[*streamEntry]bool
 }
 
+// errTooManyStreams refuses a creation while StreamMaxSessions streams
+// are open.
+var errTooManyStreams = errors.New("too many resident streams")
+
 func newStreamRegistry() *streamRegistry {
-	return &streamRegistry{entries: map[string]*streamEntry{}}
+	return &streamRegistry{entries: map[string]*streamEntry{}, open: map[*streamEntry]bool{}}
 }
 
 func (r *streamRegistry) get(id string) (*streamEntry, bool) {
@@ -271,11 +262,17 @@ func (r *streamRegistry) count() int {
 	return len(r.entries)
 }
 
-// register files the entry, assigning an id when the request left it to
-// the daemon. A duplicate explicit id is an error.
-func (r *streamRegistry) register(e *streamEntry) error {
+// register files an open entry, assigning an id when the request left
+// it to the daemon. It refuses with errTooManyStreams when limit streams
+// are already open (limit <= 0: no cap, which is how resume registers),
+// and a duplicate explicit id is an error. The cap is checked under the
+// same lock that files the entry, so racing creations cannot overshoot it.
+func (r *streamRegistry) register(e *streamEntry, limit int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if limit > 0 && len(r.open) >= limit {
+		return errTooManyStreams
+	}
 	if e.id == "" {
 		for {
 			r.seq++
@@ -290,7 +287,30 @@ func (r *streamRegistry) register(e *streamEntry) error {
 	}
 	r.entries[e.id] = e
 	r.order = append(r.order, e.id)
+	r.open[e] = true
 	return nil
+}
+
+// retire stops counting a finished stream against the cap; the entry
+// itself stays readable.
+func (r *streamRegistry) retire(e *streamEntry) {
+	r.mu.Lock()
+	delete(r.open, e)
+	r.mu.Unlock()
+}
+
+// unregister removes an open entry that never became durable.
+func (r *streamRegistry) unregister(e *streamEntry) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	delete(r.entries, e.id)
+	for i := len(r.order) - 1; i >= 0; i-- {
+		if r.order[i] == e.id {
+			r.order = append(r.order[:i], r.order[i+1:]...)
+			break
+		}
+	}
+	delete(r.open, e)
 }
 
 type streamMetrics struct {
@@ -400,7 +420,7 @@ func (s *Server) resumeStream(p store.PendingIntent) {
 	}
 	e := s.newStreamEntry(req, sess, p.Payload)
 	e.resumed = true
-	if rerr := s.streams.register(e); rerr != nil {
+	if rerr := s.streams.register(e, 0); rerr != nil {
 		s.streamJournal.Resolve(p.Key, "resume: "+rerr.Error(), false)
 		return
 	}
@@ -547,19 +567,18 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if s.streams.count() >= s.cfg.StreamMaxSessions {
-		s.stm.backpressure.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds()+0.5)))
-		writeError(w, http.StatusTooManyRequests, "too many resident streams")
-		return
-	}
 	sess, err := stream.New(cfg)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	e := s.newStreamEntry(req, sess, nil)
-	if err := s.streams.register(e); err != nil {
+	if err := s.streams.register(e, s.cfg.StreamMaxSessions); errors.Is(err, errTooManyStreams) {
+		s.stm.backpressure.Inc()
+		s.setRetryAfter(w)
+		writeError(w, http.StatusTooManyRequests, err.Error())
+		return
+	} else if err != nil {
 		writeError(w, http.StatusConflict, err.Error())
 		return
 	}
@@ -572,6 +591,10 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 		payload, _ := json.Marshal(req)
 		e.req = payload
 		if jerr := s.streamJournal.Intent(e.id, payload); jerr != nil {
+			// Not durable, so not created: the id must not stay live,
+			// accepting appends nothing would resume.
+			s.streams.unregister(e)
+			e.markDone()
 			writeError(w, http.StatusServiceUnavailable, "journaling stream: "+jerr.Error())
 			return
 		}
@@ -630,7 +653,7 @@ func (s *Server) handleStreamAppend(w http.ResponseWriter, r *http.Request) {
 	if e.pending.Add(1) > int64(s.cfg.StreamMaxPending) {
 		e.pending.Add(-1)
 		s.stm.backpressure.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds()+0.5)))
+		s.setRetryAfter(w)
 		writeError(w, http.StatusTooManyRequests, "stream has too many in-flight chunks, retry later")
 		return
 	}
@@ -733,6 +756,7 @@ func (s *Server) handleStreamFinish(w http.ResponseWriter, r *http.Request) {
 	}
 	e.closed = true
 	e.mu.Unlock()
+	s.streams.retire(e)
 	e.markDone()
 	if s.streamJournal != nil {
 		s.streamJournal.Resolve(e.id, "", true)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"perftrack/internal/core"
+	"perftrack/internal/faults"
 	"perftrack/internal/oracle"
 	"perftrack/internal/stream"
 	"perftrack/internal/trace"
@@ -502,8 +503,8 @@ func TestStreamValidationAndHealth(t *testing.T) {
 	client := srv.Client()
 
 	bad := []StreamRequest{
-		{Window: stream.WindowSpec{}},                               // no windowing
-		{Window: stream.WindowSpec{CountN: 5, WindowNS: 100}},       // both modes
+		{Window: stream.WindowSpec{}},                         // no windowing
+		{Window: stream.WindowSpec{CountN: 5, WindowNS: 100}}, // both modes
 		{Window: stream.WindowSpec{CountN: 5}, Metrics: []string{"nope"}},
 		{Window: stream.WindowSpec{CountN: 5}, ID: "bad/id"},
 		{Window: stream.WindowSpec{CountN: 5}, Series: "bad series"},
@@ -565,5 +566,93 @@ func TestStreamValidationAndHealth(t *testing.T) {
 		if !strings.Contains(string(body), m) {
 			t.Fatalf("/metrics missing %s", m)
 		}
+	}
+}
+
+// TestStreamCapCountsOpenStreams: StreamMaxSessions bounds the streams
+// open at once, not every stream ever created. A finished stream frees
+// its slot and stays readable, and racing creations cannot overshoot the
+// cap.
+func TestStreamCapCountsOpenStreams(t *testing.T) {
+	s := newTest(t, Config{Workers: 1, StreamMaxSessions: 1})
+	defer s.Shutdown(context.Background())
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	client := srv.Client()
+
+	create := func(id string) int {
+		return postJSON(t, client, srv.URL+"/v1/streams", StreamRequest{ID: id, Window: stream.WindowSpec{CountN: 10}}, nil).StatusCode
+	}
+	if code := create("first"); code != http.StatusCreated {
+		t.Fatalf("first create: %d", code)
+	}
+	if code := create("blocked"); code != http.StatusTooManyRequests {
+		t.Fatalf("create at the cap: %d, want 429", code)
+	}
+	if r := postJSON(t, client, srv.URL+"/v1/streams/first/finish", nil, nil); r.StatusCode != http.StatusOK {
+		t.Fatalf("finish: %d", r.StatusCode)
+	}
+	if code := create("second"); code != http.StatusCreated {
+		t.Fatalf("create after finishing the only open stream: %d, want 201", code)
+	}
+	if _, code := httpGet(t, s, "/v1/streams/first"); code != http.StatusOK {
+		t.Fatalf("finished stream read: %d, want 200", code)
+	}
+	if r := postJSON(t, client, srv.URL+"/v1/streams/first/finish", nil, nil); r.StatusCode != http.StatusConflict {
+		t.Fatalf("second finish: %d, want 409", r.StatusCode)
+	}
+
+	const limit, racers = 3, 16
+	s2 := newTest(t, Config{Workers: 1, StreamMaxSessions: limit})
+	defer s2.Shutdown(context.Background())
+	srv2 := httptest.NewServer(s2.Handler())
+	defer srv2.Close()
+	codes := make(chan int, racers)
+	for i := 0; i < racers; i++ {
+		go func() {
+			resp, err := srv2.Client().Post(srv2.URL+"/v1/streams", "application/json", strings.NewReader(`{"window":{"countN":10}}`))
+			if err != nil {
+				codes <- -1
+				return
+			}
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}()
+	}
+	created := 0
+	for i := 0; i < racers; i++ {
+		switch code := <-codes; code {
+		case http.StatusCreated:
+			created++
+		case http.StatusTooManyRequests:
+		default:
+			t.Fatalf("racing create: status %d", code)
+		}
+	}
+	if created != limit {
+		t.Fatalf("%d racing creates succeeded, want exactly the cap %d", created, limit)
+	}
+}
+
+// TestStreamJournalFailureLeavesNoStream: a creation whose journal
+// intent cannot be made durable answers 503 and leaves nothing behind —
+// no resident session under its id accepting unjournaled appends.
+func TestStreamJournalFailureLeavesNoStream(t *testing.T) {
+	s := newTest(t, Config{
+		Workers:  1,
+		StoreDir: t.TempDir(),
+		StoreFS:  faults.NewFaultFS(faults.FSFaults{SyncFailEveryN: 1}),
+	})
+	defer s.Shutdown(context.Background())
+
+	if _, code := httpPostJSON(t, s, "/v1/streams", StreamRequest{ID: "doomed", Window: stream.WindowSpec{CountN: 10}}); code != http.StatusServiceUnavailable {
+		t.Fatalf("create with failing fsync: %d, want 503", code)
+	}
+	if _, code := httpGet(t, s, "/v1/streams/doomed"); code != http.StatusNotFound {
+		t.Fatalf("stream after failed create: %d, want 404", code)
+	}
+	metrics, _ := httpGet(t, s, "/metrics")
+	if !strings.Contains(metrics, "\ntrackd_stream_sessions 0\n") {
+		t.Fatal("trackd_stream_sessions is not 0 after a failed create")
 	}
 }
